@@ -19,9 +19,16 @@ matching condition:
               rank-1 Fano families, the (1,1,1) class, or the quartic
               blow-up block.
 
+Each enumeration call pools its blocks, building each catalog row into a
+block once, and decides the matching certificate once per pair of lattice
+classes ``(rank, l_bound, triple)``: the certificate reads nothing else of
+a block, so every pair in those classes shares it.
+
 Each record's Betti numbers are computed twice — mode closed form and the
-gluing formula — and the two must agree exactly (asserted); the identity
-is structural, so a mismatch means a transcription bug.  ``GENERIC`` mode
+gluing formula — and each record's certificate must carry condition A.
+Both identities are enforced by explicit checks that raise
+``IdentityError`` in every build, ``python -O`` included; the identities
+are structural, so a failure means a transcription bug.  ``GENERIC`` mode
 (user-supplied n > 0) is available via ``generic_record`` but never
 enumerated automatically: realizing a positive-dimensional matching
 requires choices the closed forms do not determine.
@@ -42,8 +49,10 @@ from .building_blocks import (
 from .catalog import (
     CatalogError,
     FanoCatalog,
+    FanoFamily,
     JoyceCatalog,
     NikulinCatalog,
+    NikulinTriple,
     mirror_pairs,
 )
 from .embedding import MatchCertificate, matching_condition
@@ -60,8 +69,14 @@ MODES: Final = (EMB_A, EMB_B, EMB_C, MIRROR, SEQ, LARGE_RANK, GENERIC)
 
 UNVERIFIED = "UNVERIFIED"
 
-B2_RANGE: Final = (0, 24)
-B3_RANGE: Final = (35, 239)
+
+class IdentityError(RuntimeError):
+    """A structural identity failed for an enumerated record.
+
+    Raised when a record's closed form and gluing formula disagree, or when
+    a pair admitted by its clause lacks condition A.  Either is a bug in
+    the program, never in the catalog data.
+    """
 
 
 @dataclass(frozen=True)
@@ -124,18 +139,69 @@ def glue_betti(block1: BuildingBlock, block2: BuildingBlock, n: int = 0) -> Glue
     return GlueResult(b2=b2, b3=b3, rank_condition_ok=ok)
 
 
+class _Pool:
+    """The blocks and certificates of one enumeration call.
+
+    Each catalog row is built into a block at most once.  A certificate
+    depends only on the lattice class ``(rank, l_bound, triple key)`` of
+    each block, the only fields ``matching_condition`` reads, so it is
+    decided once per ordered pair of classes and shared by every block
+    pair in them.  ``BuildingBlock`` equality ignores ``triple``, hence
+    the key spells the triple out.  A pool lives only as long as the call
+    that made it.
+    """
+
+    def __init__(self) -> None:
+        self._blocks: dict[FanoFamily | NikulinTriple, BuildingBlock] = {}
+        self._certificates: dict[tuple, MatchCertificate] = {}
+
+    def fano(self, f: FanoFamily) -> BuildingBlock:
+        block = self._blocks.get(f)
+        if block is None:
+            block = self._blocks[f] = fano_block(f)
+        return block
+
+    def involution(self, t: NikulinTriple) -> BuildingBlock:
+        block = self._blocks.get(t)
+        if block is None:
+            block = self._blocks[t] = involution_block(t)
+        return block
+
+    def certificate(self, b1: BuildingBlock, b2: BuildingBlock) -> MatchCertificate:
+        t1, t2 = b1.triple, b2.triple
+        key = (
+            b1.rank,
+            b1.l_bound,
+            None if t1 is None else t1.key,
+            b2.rank,
+            b2.l_bound,
+            None if t2 is None else t2.key,
+        )
+        cert = self._certificates.get(key)
+        if cert is None:
+            cert = self._certificates[key] = matching_condition(b1, b2)
+        return cert
+
+
 def _record(
     mode: str,
     closed: tuple[int, int],
     block1: BuildingBlock,
     block2: BuildingBlock,
-    certificate: MatchCertificate,
+    pool: _Pool,
 ) -> G2Record:
+    """The record of one admitted pair, after both of its identity checks."""
+    certificate = pool.certificate(block1, block2)
+    if not certificate.has_cond_a:
+        raise IdentityError(
+            f"{mode} pair lost condition A: {block1.label} x {block2.label}"
+        )
     glue = glue_betti(block1, block2, 0)
-    assert glue.betti == closed, (
-        f"closed-form/glue disagreement in {mode} for "
-        f"{block1.label} x {block2.label}: closed {closed}, glued {glue.betti}"
-    )
+    if glue.betti != closed:
+        raise IdentityError(
+            f"closed-form/glue disagreement in {mode} for "
+            f"{block1.label} x {block2.label}: closed {closed}, glued {glue.betti}"
+        )
     return G2Record(
         b2=closed[0],
         b3=closed[1],
@@ -158,55 +224,48 @@ def enumerate_emb(fano: FanoCatalog, nikulin: NikulinCatalog) -> list[G2Record]:
     """All unordered pairs admissible under the three numeric clauses.
 
     Every admissible pair also passes the numeric embedding criterion, so
-    each certificate is asserted to carry condition A.
+    each record's certificate is checked to carry condition A.
     """
+    pool = _Pool()
+    fanos = [(f, pool.fano(f)) for f in fano]
+    involutions = [(t, pool.involution(t)) for t in nikulin if t.key != (10, 10, 0)]
     records: list[G2Record] = []
-    families = list(fano)
-    triples = [t for t in nikulin if t.key != (10, 10, 0)]
 
-    for i, f1 in enumerate(families):
-        for f2 in families[i:]:
+    for i, (f1, blk1) in enumerate(fanos):
+        for f2, blk2 in fanos[i:]:
             if f1.b2 + f2.b2 < 10:
-                blk1, blk2 = fano_block(f1), fano_block(f2)
-                cert = matching_condition(blk1, blk2)
-                assert cert.has_cond_a, f"EMB_A pair lost condition A: {f1.id}, {f2.id}"
                 closed = (0, f1.g + f2.g + 27)
-                records.append(_record(EMB_A, closed, blk1, blk2, cert))
+                records.append(_record(EMB_A, closed, blk1, blk2, pool))
 
-    for f1 in families:
-        for t2 in triples:
+    for f1, blk1 in fanos:
+        for t2, blk2 in involutions:
             if 2 * f1.b2 + t2.r + t2.a < 20:
-                blk1, blk2 = fano_block(f1), involution_block(t2)
-                cert = matching_condition(blk1, blk2)
-                assert cert.has_cond_a, f"EMB_B pair lost condition A: {f1.id}, {t2.key}"
                 closed = (2 + t2.r - t2.a, f1.g - t2.r - 3 * t2.a + 71)
-                records.append(_record(EMB_B, closed, blk1, blk2, cert))
+                records.append(_record(EMB_B, closed, blk1, blk2, pool))
 
-    for i, t1 in enumerate(triples):
-        for t2 in triples[i:]:
+    for i, (t1, blk1) in enumerate(involutions):
+        for t2, blk2 in involutions[i:]:
             if t1.r + t1.a + t2.r + t2.a < 20:
-                blk1, blk2 = involution_block(t1), involution_block(t2)
-                cert = matching_condition(blk1, blk2)
-                assert cert.has_cond_a, f"EMB_C pair lost condition A: {t1.key}, {t2.key}"
                 closed = (
                     4 + t1.r + t2.r - t1.a - t2.a,
                     115 - t1.r - t2.r - 3 * (t1.a + t2.a),
                 )
-                records.append(_record(EMB_C, closed, blk1, blk2, cert))
+                records.append(_record(EMB_C, closed, blk1, blk2, pool))
 
     return _sorted_records(records)
 
 
 def enumerate_mirror(nikulin: NikulinCatalog) -> list[G2Record]:
     """One record per mirror pair: (b2, b3) = (24 - 2a, 95 - 6a)."""
+    pool = _Pool()
     records: list[G2Record] = []
     for t1, t2 in mirror_pairs(nikulin):
-        blk1, blk2 = involution_block(t1), involution_block(t2)
-        cert = matching_condition(blk1, blk2)
-        assert cert.has_cond_a, f"mirror pair lost condition A: {t1.key}, {t2.key}"
         closed = (24 - 2 * t1.a, 95 - 6 * t1.a)
-        rec = _record(MIRROR, closed, blk1, blk2, cert)
-        assert rec.b3 == 3 * rec.b2 + 23
+        rec = _record(MIRROR, closed, pool.involution(t1), pool.involution(t2), pool)
+        if rec.b3 != 3 * rec.b2 + 23:
+            raise IdentityError(
+                f"mirror pair {t1.key}, {t2.key} gives {rec.betti}, off the line b3 = 3 b2 + 23"
+            )
         records.append(rec)
     return _sorted_records(records)
 
@@ -217,21 +276,16 @@ def enumerate_seq(fano: FanoCatalog, nikulin: NikulinCatalog) -> list[G2Record]:
     Partners: Fano families with b2 < 9 (giving (3, g + 52)) and
     involution classes with r + a < 18 (giving (5+r-a, 96-r-3a)).
     """
+    pool = _Pool()
     quartic = quartic_blowup_block()
     records: list[G2Record] = []
     for f in fano:
         if f.b2 < 9:
-            blk2 = fano_block(f)
-            cert = matching_condition(quartic, blk2)
-            assert cert.has_cond_a, f"SEQ partner lost condition A: {f.id}"
-            records.append(_record(SEQ, (3, f.g + 52), quartic, blk2, cert))
+            records.append(_record(SEQ, (3, f.g + 52), quartic, pool.fano(f), pool))
     for t in nikulin:
         if t.r + t.a < 18:
-            blk2 = involution_block(t)
-            cert = matching_condition(quartic, blk2)
-            assert cert.has_cond_a, f"SEQ partner lost condition A: {t.key}"
             closed = (5 + t.r - t.a, 96 - t.r - 3 * t.a)
-            records.append(_record(SEQ, closed, quartic, blk2, cert))
+            records.append(_record(SEQ, closed, quartic, pool.involution(t), pool))
     return _sorted_records(records)
 
 
@@ -241,7 +295,6 @@ def enumerate_large_rank(fano: FanoCatalog, nikulin: NikulinCatalog) -> list[G2R
     Partners: every rank-1 Fano family, the (1,1,1) involution class, and
     the quartic blow-up block — 38 records over the complete catalogs.
     """
-    records: list[G2Record] = []
     anchors = []
     for key in ((18, 0, 0), (17, 1, 1)):
         t = nikulin.find(*key)
@@ -251,28 +304,20 @@ def enumerate_large_rank(fano: FanoCatalog, nikulin: NikulinCatalog) -> list[G2R
     one_one_one = nikulin.find(1, 1, 1)
     if one_one_one is None:
         raise CatalogError("large-rank enumeration needs triple (1, 1, 1) in the catalog")
+    pool = _Pool()
     quartic = quartic_blowup_block()
+    records: list[G2Record] = []
 
     for t1 in anchors:
-        blk1 = involution_block(t1)
+        blk1 = pool.involution(t1)
         r1, a1 = t1.r, t1.a
         for f in fano.rank_one():
-            blk2 = fano_block(f)
-            cert = matching_condition(blk1, blk2)
-            assert cert.has_cond_a, f"large-rank pair lost condition A: {t1.key}, {f.id}"
             closed = (2 + r1 - a1, f.g - r1 - 3 * a1 + 71)
-            records.append(_record(LARGE_RANK, closed, blk1, blk2, cert))
-        blk2 = involution_block(one_one_one)
-        cert = matching_condition(blk1, blk2)
-        assert cert.has_cond_a
-        records.append(
-            _record(LARGE_RANK, (4 + r1 - a1, 111 - r1 - 3 * a1), blk1, blk2, cert)
-        )
-        cert = matching_condition(blk1, quartic)
-        assert cert.has_cond_a
-        records.append(
-            _record(LARGE_RANK, (5 + r1 - a1, 96 - r1 - 3 * a1), blk1, quartic, cert)
-        )
+            records.append(_record(LARGE_RANK, closed, blk1, pool.fano(f), pool))
+        closed = (4 + r1 - a1, 111 - r1 - 3 * a1)
+        records.append(_record(LARGE_RANK, closed, blk1, pool.involution(one_one_one), pool))
+        closed = (5 + r1 - a1, 96 - r1 - 3 * a1)
+        records.append(_record(LARGE_RANK, closed, blk1, quartic, pool))
     return _sorted_records(records)
 
 

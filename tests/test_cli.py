@@ -205,3 +205,36 @@ def test_module_entry_point():
     assert proc.returncode == 0
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))
     assert len(rows) == 11
+
+
+# A closed-form/gluing mismatch planted in the gluing formula: b3 shifted by 4.
+PLANTED_GLUE_BUG = """
+import sys
+import g2sum.enumerator as enumerator
+from g2sum.cli import main
+
+real_glue_betti = enumerator.glue_betti
+
+
+def shifted_glue_betti(block1, block2, n=0):
+    glue = real_glue_betti(block1, block2, n)
+    return enumerator.GlueResult(glue.b2, glue.b3 + 4, glue.rank_condition_ok)
+
+
+enumerator.glue_betti = shifted_glue_betti
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [(), ("-O",)], ids=["plain", "optimized"])
+@pytest.mark.parametrize("argv", [("betti-list", "emb"), ("crosscheck",)], ids=" ".join)
+def test_identity_failure_exits_1_in_every_build(optimize, argv):
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-c", PLANTED_GLUE_BUG, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert "closed-form/glue disagreement" in proc.stderr
+    assert "OK" not in proc.stdout.split()

@@ -1,7 +1,10 @@
 """Enumeration modes, gluing, and the pair-counting conventions."""
 
+from collections import Counter
+
 import pytest
 
+import g2sum.enumerator as enumerator_mod
 from g2sum.building_blocks import fano_block, involution_block, quartic_blowup_block
 from g2sum.catalog import JoyceCatalog
 from g2sum.enumerator import (
@@ -15,12 +18,14 @@ from g2sum.enumerator import (
     compare_joyce,
     count_matched_pairs,
     distinct_betti,
+    enumerate_emb,
     enumerate_large_rank,
     enumerate_mirror,
     enumerate_seq,
     generic_record,
     glue_betti,
 )
+from g2sum.embedding import matching_condition
 from g2sum.lattice_core import LatticeError
 
 MIRROR_BETTI = [(4, 35), (6, 41), (8, 47), (10, 53), (12, 59), (14, 65),
@@ -198,6 +203,41 @@ def test_emb_diagonal_means_equal_blocks(emb_records):
 def test_emb_certificates_all_condition_a(emb_records):
     assert all(r.certificate.has_cond_a for r in emb_records)
     assert all(r.verified for r in emb_records)
+
+
+def lattice_class(block):
+    """The only fields of a block that ``matching_condition`` reads."""
+    return (block.rank, block.l_bound, None if block.triple is None else block.triple.key)
+
+
+def test_emb_builds_each_block_once_and_certifies_each_class_once(monkeypatch, fano, nikulin):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(enumerator_mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in ("fano_block", "involution_block", "matching_condition"):
+        monkeypatch.setattr(enumerator_mod, name, counted(name))
+    records = enumerate_emb(fano, nikulin)
+
+    usable_triples = sum(1 for t in nikulin if t.key != (10, 10, 0))
+    assert calls["fano_block"] <= len(fano)
+    assert calls["involution_block"] <= usable_triples
+    assert calls["fano_block"] + calls["involution_block"] <= 179
+    classes = {tuple(lattice_class(b) for b in r.blocks) for r in records}
+    assert len(classes) == 380
+    assert calls["matching_condition"] == len(classes)
+
+
+def test_emb_shared_certificates_equal_fresh_ones(emb_records):
+    for r in emb_records:
+        assert r.certificate == matching_condition(*r.blocks)
 
 
 def test_emb_b2_zero_row(emb_records):
