@@ -106,15 +106,6 @@ def quartic_blowup_block() -> BuildingBlock:
     )
 
 
-def blowup_sequence_d(length: int, rank: int) -> int:
-    """d for a block built by ``length`` curve blow-ups keeping ``rank``."""
-    if not 1 <= rank <= length:
-        raise LatticeError(
-            f"polarizing rank must be in 1..{length}, got {rank}"
-        )
-    return length - rank
-
-
 def open_betti(block: BuildingBlock) -> tuple[int, int]:
     """Betti numbers (b2, b3) of the block minus one K3 fibre."""
     b2 = block.b2_bar - 1

@@ -364,7 +364,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_table1(args, nikulin, fano)
         if args.command == "crosscheck":
             return _cmd_crosscheck(args, nikulin, fano, joyce)
-    except (CatalogError, IdentityError, AssertionError) as exc:
+    except (CatalogError, IdentityError) as exc:
         print(f"g2sum: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -6,40 +6,47 @@ polarizing intersection gives a closed 7-manifold with
     b2(M) = n + d1 + d2,
     b3(M) = b3_bar1 + b3_bar2 + b2(M) - 2n + 23.
 
-Every enumeration mode here uses n = 0 and a clause that guarantees the
-matching condition:
+Every enumeration here uses n = 0 and is a *pair-space*: a set of block
+pairs drawn from one pool, built once per call in catalog order (each Fano
+family, each involution class but the fixed-point-free (10,10,0), then the
+quartic blow-up block).  A block's *size* is ``rank + l_bound``; a pair of
+total size below 20 passes the numeric embedding criterion.
 
-* ``EMB_A``   Fano x Fano with b2(V1) + b2(V2) < 10;
-* ``EMB_B``   Fano x involution with 2 b2(V1) + r2 + a2 < 20;
-* ``EMB_C``   involution x involution with r1 + r2 + a1 + a2 < 20;
-* ``MIRROR``  the 36 mirror pairs (r,a,delta) / (20-r,a,delta);
-* ``SEQ``     the quartic blow-up block against any Fano with b2 < 9 or
-              involution class with r + a < 18;
-* ``LARGE_RANK``  (18,0,0) or (17,1,1) against a rank-1 partner: the 17
-              rank-1 Fano families, the (1,1,1) class, or the quartic
-              blow-up block.
+* ``emb``         every unordered pool pair of size below 20, the quartic
+                  aside; its clause ``EMB_A``/``EMB_B``/``EMB_C`` is the
+                  pair's kinds: Fano x Fano, Fano x involution, involution
+                  x involution;
+* ``MIRROR``      the pairs of ``catalog.mirror_pairs``, which must also
+                  satisfy b3 = 3 b2 + 23;
+* ``SEQ``         the quartic block against every pool block, size below 20;
+* ``LARGE_RANK``  (18,0,0) and (17,1,1) against every rank-1 block: the
+                  rank-1 Fano families, the (1,1,1) class and the quartic.
 
-Each enumeration call pools its blocks, building each catalog row into a
-block once, and decides the matching certificate once per pair of lattice
+Each call decides the matching certificate once per pair of lattice
 classes ``(rank, l_bound, triple)``: the certificate reads nothing else of
 a block, so every pair in those classes shares it.
 
-Each record's Betti numbers are computed twice — mode closed form and the
-gluing formula — and each record's certificate must carry condition A.
-Both identities are enforced by explicit checks that raise
-``IdentityError`` in every build, ``python -O`` included; the identities
-are structural, so a failure means a transcription bug.  ``GENERIC`` mode
-(user-supplied n > 0) is available via ``generic_record`` but never
-enumerated automatically: realizing a positive-dimensional matching
-requires choices the closed forms do not determine.
+A record's Betti numbers come from ``glue_betti`` alone and are checked
+against a closed form summed per block from the catalog row, with
+b2 = d1 + d2 and b3 = e1 + e2 + 23 for the block shares (d, e): Fano
+(0, g + 2), involution (2 + r - a, 46 - r - 3a), quartic (3, 27).  Each
+certificate must carry condition A.  Both identities are enforced by
+explicit checks that raise ``IdentityError`` in every build, ``python -O``
+included; the identities are structural, so a failure means a
+transcription bug.  ``GENERIC`` mode (user-supplied n > 0) is available via
+``generic_record`` but never enumerated automatically: realizing a
+positive-dimensional matching requires choices the closed forms do not
+determine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Final, Iterable, Sequence
+from typing import Final, Iterable, NamedTuple, Sequence
 
 from .building_blocks import (
+    KIND_FANO,
+    KIND_INVOLUTION,
     BuildingBlock,
     fano_block,
     involution_block,
@@ -52,7 +59,6 @@ from .catalog import (
     FanoFamily,
     JoyceCatalog,
     NikulinCatalog,
-    NikulinTriple,
     mirror_pairs,
 )
 from .embedding import MatchCertificate, matching_condition
@@ -139,186 +145,99 @@ def glue_betti(block1: BuildingBlock, block2: BuildingBlock, n: int = 0) -> Glue
     return GlueResult(b2=b2, b3=b3, rank_condition_ok=ok)
 
 
-class _Pool:
-    """The blocks and certificates of one enumeration call.
+class _Entry(NamedTuple):
+    """One pooled block with what every pair it joins reads of it."""
 
-    Each catalog row is built into a block at most once.  A certificate
-    depends only on the lattice class ``(rank, l_bound, triple key)`` of
-    each block, the only fields ``matching_condition`` reads, so it is
-    decided once per ordered pair of classes and shared by every block
-    pair in them.  ``BuildingBlock`` equality ignores ``triple``, hence
-    the key spells the triple out.  A pool lives only as long as the call
-    that made it.
-    """
+    block: BuildingBlock
+    size: int
+    cls: tuple
+    share: tuple[int, int]
 
-    def __init__(self) -> None:
-        self._blocks: dict[FanoFamily | NikulinTriple, BuildingBlock] = {}
-        self._certificates: dict[tuple, MatchCertificate] = {}
 
-    def fano(self, f: FanoFamily) -> BuildingBlock:
-        block = self._blocks.get(f)
-        if block is None:
-            block = self._blocks[f] = fano_block(f)
-        return block
+_CLAUSES: Final = {
+    (KIND_FANO, KIND_FANO): EMB_A,
+    (KIND_FANO, KIND_INVOLUTION): EMB_B,
+    (KIND_INVOLUTION, KIND_INVOLUTION): EMB_C,
+}
 
-    def involution(self, t: NikulinTriple) -> BuildingBlock:
-        block = self._blocks.get(t)
-        if block is None:
-            block = self._blocks[t] = involution_block(t)
-        return block
 
-    def certificate(self, b1: BuildingBlock, b2: BuildingBlock) -> MatchCertificate:
-        t1, t2 = b1.triple, b2.triple
-        key = (
-            b1.rank,
-            b1.l_bound,
-            None if t1 is None else t1.key,
-            b2.rank,
-            b2.l_bound,
-            None if t2 is None else t2.key,
+def _entry(block: BuildingBlock, share: tuple[int, int]) -> _Entry:
+    triple = block.triple
+    cls = (block.rank, block.l_bound, None if triple is None else triple.key)
+    return _Entry(block, block.rank + block.l_bound, cls, share)
+
+
+def _enumerate(space: str, fano: Iterable[FanoFamily], nikulin: NikulinCatalog) -> list[G2Record]:
+    """The sorted records of one pair-space, each checked against its identities."""
+    pool = {f: _entry(fano_block(f), (0, f.g + 2)) for f in fano}
+    for t in nikulin:
+        if t.key != (10, 10, 0):
+            pool[t] = _entry(involution_block(t), (2 + t.r - t.a, 46 - t.r - 3 * t.a))
+    blocks = list(pool.values())
+    quartic = _entry(quartic_blowup_block(), (3, 27))
+
+    if space == "emb":
+        pairs = [
+            (p, q) for i, p in enumerate(blocks) for q in blocks[i:] if p.size + q.size < 20
+        ]
+    elif space == SEQ:
+        pairs = [(quartic, q) for q in blocks if quartic.size + q.size < 20]
+    elif space == MIRROR:
+        pairs = [(pool[t1], pool[t2]) for t1, t2 in mirror_pairs(nikulin)]
+    else:
+        found = {key: nikulin.find(*key) for key in ((18, 0, 0), (17, 1, 1), (1, 1, 1))}
+        for key, t in found.items():
+            if t is None:
+                raise CatalogError(f"large-rank enumeration needs triple {key} in the catalog")
+        partners = [e for e in blocks + [quartic] if e.block.rank == 1]
+        pairs = [(pool[found[key]], q) for key in ((18, 0, 0), (17, 1, 1)) for q in partners]
+
+    certificates: dict[tuple, MatchCertificate] = {}
+    records: list[G2Record] = []
+    for (block1, _, cls1, (d1, e1)), (block2, _, cls2, (d2, e2)) in pairs:
+        mode = _CLAUSES[block1.kind, block2.kind] if space == "emb" else space
+        certificate = certificates.get((cls1, cls2))
+        if certificate is None:
+            certificate = certificates[cls1, cls2] = matching_condition(block1, block2)
+        if not certificate.has_cond_a:
+            raise IdentityError(f"{mode} pair lost condition A: {block1.label} x {block2.label}")
+        glue = glue_betti(block1, block2, 0)
+        closed = (d1 + d2, e1 + e2 + 23)
+        if glue.betti != closed:
+            raise IdentityError(
+                f"closed-form/glue disagreement in {mode} for "
+                f"{block1.label} x {block2.label}: closed {closed}, glued {glue.betti}"
+            )
+        if space == MIRROR and glue.b3 != 3 * glue.b2 + 23:
+            raise IdentityError(
+                f"mirror pair {block1.label} x {block2.label} gives {glue.betti}, "
+                "off the line b3 = 3 b2 + 23"
+            )
+        records.append(
+            G2Record(glue.b2, glue.b3, mode, 0, certificate, (block1, block2), glue.flags)
         )
-        cert = self._certificates.get(key)
-        if cert is None:
-            cert = self._certificates[key] = matching_condition(b1, b2)
-        return cert
-
-
-def _record(
-    mode: str,
-    closed: tuple[int, int],
-    block1: BuildingBlock,
-    block2: BuildingBlock,
-    pool: _Pool,
-) -> G2Record:
-    """The record of one admitted pair, after both of its identity checks."""
-    certificate = pool.certificate(block1, block2)
-    if not certificate.has_cond_a:
-        raise IdentityError(
-            f"{mode} pair lost condition A: {block1.label} x {block2.label}"
-        )
-    glue = glue_betti(block1, block2, 0)
-    if glue.betti != closed:
-        raise IdentityError(
-            f"closed-form/glue disagreement in {mode} for "
-            f"{block1.label} x {block2.label}: closed {closed}, glued {glue.betti}"
-        )
-    return G2Record(
-        b2=closed[0],
-        b3=closed[1],
-        mode=mode,
-        n=0,
-        certificate=certificate,
-        blocks=(block1, block2),
-        flags=glue.flags,
-    )
-
-
-def _sorted_records(records: list[G2Record]) -> list[G2Record]:
-    return sorted(
-        records,
-        key=lambda r: (r.b2, r.b3, r.mode, r.blocks[0].label, r.blocks[1].label),
-    )
+    records.sort(key=lambda r: (r.b2, r.b3, r.mode, r.blocks[0].label, r.blocks[1].label))
+    return records
 
 
 def enumerate_emb(fano: FanoCatalog, nikulin: NikulinCatalog) -> list[G2Record]:
-    """All unordered pairs admissible under the three numeric clauses.
-
-    Every admissible pair also passes the numeric embedding criterion, so
-    each record's certificate is checked to carry condition A.
-    """
-    pool = _Pool()
-    fanos = [(f, pool.fano(f)) for f in fano]
-    involutions = [(t, pool.involution(t)) for t in nikulin if t.key != (10, 10, 0)]
-    records: list[G2Record] = []
-
-    for i, (f1, blk1) in enumerate(fanos):
-        for f2, blk2 in fanos[i:]:
-            if f1.b2 + f2.b2 < 10:
-                closed = (0, f1.g + f2.g + 27)
-                records.append(_record(EMB_A, closed, blk1, blk2, pool))
-
-    for f1, blk1 in fanos:
-        for t2, blk2 in involutions:
-            if 2 * f1.b2 + t2.r + t2.a < 20:
-                closed = (2 + t2.r - t2.a, f1.g - t2.r - 3 * t2.a + 71)
-                records.append(_record(EMB_B, closed, blk1, blk2, pool))
-
-    for i, (t1, blk1) in enumerate(involutions):
-        for t2, blk2 in involutions[i:]:
-            if t1.r + t1.a + t2.r + t2.a < 20:
-                closed = (
-                    4 + t1.r + t2.r - t1.a - t2.a,
-                    115 - t1.r - t2.r - 3 * (t1.a + t2.a),
-                )
-                records.append(_record(EMB_C, closed, blk1, blk2, pool))
-
-    return _sorted_records(records)
+    """All unordered Fano/involution pairs with (rank + l_bound) sum below 20."""
+    return _enumerate("emb", fano, nikulin)
 
 
 def enumerate_mirror(nikulin: NikulinCatalog) -> list[G2Record]:
-    """One record per mirror pair: (b2, b3) = (24 - 2a, 95 - 6a)."""
-    pool = _Pool()
-    records: list[G2Record] = []
-    for t1, t2 in mirror_pairs(nikulin):
-        closed = (24 - 2 * t1.a, 95 - 6 * t1.a)
-        rec = _record(MIRROR, closed, pool.involution(t1), pool.involution(t2), pool)
-        if rec.b3 != 3 * rec.b2 + 23:
-            raise IdentityError(
-                f"mirror pair {t1.key}, {t2.key} gives {rec.betti}, off the line b3 = 3 b2 + 23"
-            )
-        records.append(rec)
-    return _sorted_records(records)
+    """One record per mirror pair (r, a, delta) / (20 - r, a, delta)."""
+    return _enumerate(MIRROR, (), nikulin)
 
 
 def enumerate_seq(fano: FanoCatalog, nikulin: NikulinCatalog) -> list[G2Record]:
-    """The quartic blow-up block against every admissible partner.
-
-    Partners: Fano families with b2 < 9 (giving (3, g + 52)) and
-    involution classes with r + a < 18 (giving (5+r-a, 96-r-3a)).
-    """
-    pool = _Pool()
-    quartic = quartic_blowup_block()
-    records: list[G2Record] = []
-    for f in fano:
-        if f.b2 < 9:
-            records.append(_record(SEQ, (3, f.g + 52), quartic, pool.fano(f), pool))
-    for t in nikulin:
-        if t.r + t.a < 18:
-            closed = (5 + t.r - t.a, 96 - t.r - 3 * t.a)
-            records.append(_record(SEQ, closed, quartic, pool.involution(t), pool))
-    return _sorted_records(records)
+    """The quartic blow-up block against every partner with size sum below 20."""
+    return _enumerate(SEQ, fano, nikulin)
 
 
 def enumerate_large_rank(fano: FanoCatalog, nikulin: NikulinCatalog) -> list[G2Record]:
-    """(18,0,0) and (17,1,1) against each rank-1 partner.
-
-    Partners: every rank-1 Fano family, the (1,1,1) involution class, and
-    the quartic blow-up block — 38 records over the complete catalogs.
-    """
-    anchors = []
-    for key in ((18, 0, 0), (17, 1, 1)):
-        t = nikulin.find(*key)
-        if t is None:
-            raise CatalogError(f"large-rank enumeration needs triple {key} in the catalog")
-        anchors.append(t)
-    one_one_one = nikulin.find(1, 1, 1)
-    if one_one_one is None:
-        raise CatalogError("large-rank enumeration needs triple (1, 1, 1) in the catalog")
-    pool = _Pool()
-    quartic = quartic_blowup_block()
-    records: list[G2Record] = []
-
-    for t1 in anchors:
-        blk1 = pool.involution(t1)
-        r1, a1 = t1.r, t1.a
-        for f in fano.rank_one():
-            closed = (2 + r1 - a1, f.g - r1 - 3 * a1 + 71)
-            records.append(_record(LARGE_RANK, closed, blk1, pool.fano(f), pool))
-        closed = (4 + r1 - a1, 111 - r1 - 3 * a1)
-        records.append(_record(LARGE_RANK, closed, blk1, pool.involution(one_one_one), pool))
-        closed = (5 + r1 - a1, 96 - r1 - 3 * a1)
-        records.append(_record(LARGE_RANK, closed, blk1, quartic, pool))
-    return _sorted_records(records)
+    """(18,0,0) and (17,1,1) against every rank-1 block: 38 over the complete catalogs."""
+    return _enumerate(LARGE_RANK, fano, nikulin)
 
 
 def generic_record(block1: BuildingBlock, block2: BuildingBlock, n: int) -> G2Record:

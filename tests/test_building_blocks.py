@@ -6,7 +6,6 @@ from g2sum.building_blocks import (
     KIND_BLOWUP,
     KIND_FANO,
     KIND_INVOLUTION,
-    blowup_sequence_d,
     euler_crosscheck,
     fano_block,
     involution_block,
@@ -67,15 +66,6 @@ def test_quartic_blowup_block():
     q = quartic_blowup_block()
     assert (q.b2_bar, q.b3_bar, q.d, q.rank) == (4, 24, 3, 1)
     assert q.kind == KIND_BLOWUP
-
-
-def test_blowup_sequence_d():
-    assert blowup_sequence_d(4, 1) == 3
-    assert blowup_sequence_d(3, 3) == 0
-    with pytest.raises(LatticeError, match="polarizing rank"):
-        blowup_sequence_d(3, 4)
-    with pytest.raises(LatticeError, match="polarizing rank"):
-        blowup_sequence_d(3, 0)
 
 
 def test_open_betti_examples(nikulin, fano):

@@ -226,11 +226,41 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+# A bug planted in a block formula as the enumerator calls it: every
+# involution block's b3_bar shifted by 2.  The enumerator's closed form reads
+# the catalog row, not the block, so it must still catch the mismatch.
+PLANTED_BLOCK_BUG = """
+import dataclasses
+import sys
+import g2sum.enumerator as enumerator
+from g2sum.cli import main
+
+real_involution_block = enumerator.involution_block
+
+
+def shifted_involution_block(t):
+    block = real_involution_block(t)
+    return dataclasses.replace(block, b3_bar=block.b3_bar + 2)
+
+
+enumerator.involution_block = shifted_involution_block
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 @pytest.mark.parametrize("optimize", [(), ("-O",)], ids=["plain", "optimized"])
-@pytest.mark.parametrize("argv", [("betti-list", "emb"), ("crosscheck",)], ids=" ".join)
-def test_identity_failure_exits_1_in_every_build(optimize, argv):
+@pytest.mark.parametrize(
+    "planted, argv",
+    [
+        (PLANTED_GLUE_BUG, ("betti-list", "emb")),
+        (PLANTED_GLUE_BUG, ("crosscheck",)),
+        (PLANTED_BLOCK_BUG, ("betti-list", "mirror")),
+    ],
+    ids=["betti-list emb", "crosscheck", "block-bug betti-list mirror"],
+)
+def test_identity_failure_exits_1_in_every_build(optimize, planted, argv):
     proc = subprocess.run(
-        [sys.executable, *optimize, "-c", PLANTED_GLUE_BUG, *argv],
+        [sys.executable, *optimize, "-c", planted, *argv],
         capture_output=True,
         text=True,
         timeout=120,
@@ -238,3 +268,16 @@ def test_identity_failure_exits_1_in_every_build(optimize, argv):
     assert proc.returncode == EXIT_VALIDATION
     assert "closed-form/glue disagreement" in proc.stderr
     assert "OK" not in proc.stdout.split()
+
+
+def test_internal_assertion_is_not_a_catalog_failure(monkeypatch, capsys):
+    import g2sum.cli as cli
+
+    def planted(_nikulin):
+        raise AssertionError("planted internal bug")
+
+    monkeypatch.setattr(cli, "enumerate_mirror", planted)
+    with pytest.raises(AssertionError, match="planted internal bug"):
+        main(["betti-list", "mirror"])
+    err = capsys.readouterr().err
+    assert not any(line.startswith("g2sum:") for line in err.splitlines())

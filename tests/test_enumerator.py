@@ -302,6 +302,43 @@ def test_parity_all_modes(nikulin, fano, emb_records):
             assert r.b2 % 2 == 0 and r.b3 % 2 == 1, r
 
 
+def paper_closed_form(record):
+    """The paper's (b2, b3) for a record's mode, from its blocks' catalog rows.
+
+    Written out per mode, independently of the enumerator's per-block check.
+    """
+    block1, block2 = record.blocks
+    f1, f2, t1, t2 = block1.fano, block2.fano, block1.triple, block2.triple
+    if record.mode == EMB_A:
+        return (0, f1.g + f2.g + 27)
+    if record.mode == EMB_B:
+        return (2 + t2.r - t2.a, f1.g - t2.r - 3 * t2.a + 71)
+    if record.mode == EMB_C:
+        return (4 + t1.r + t2.r - t1.a - t2.a, 115 - t1.r - t2.r - 3 * (t1.a + t2.a))
+    if record.mode == MIRROR:
+        return (24 - 2 * t1.a, 95 - 6 * t1.a)
+    if record.mode == SEQ:
+        if f2 is not None:
+            return (3, f2.g + 52)
+        return (5 + t2.r - t2.a, 96 - t2.r - 3 * t2.a)
+    assert record.mode == LARGE_RANK
+    r1, a1 = t1.r, t1.a
+    if f2 is not None:
+        return (2 + r1 - a1, f2.g - r1 - 3 * a1 + 71)
+    if t2 is not None:
+        assert t2.key == (1, 1, 1)
+        return (4 + r1 - a1, 111 - r1 - 3 * a1)
+    assert block2 == quartic_blowup_block()
+    return (5 + r1 - a1, 96 - r1 - 3 * a1)
+
+
+def test_every_record_matches_its_mode_closed_form(nikulin, fano, emb_records):
+    records = list(emb_records) + all_mode_records(nikulin, fano)
+    assert {r.mode for r in records} == {EMB_A, EMB_B, EMB_C, MIRROR, SEQ, LARGE_RANK}
+    for r in records:
+        assert r.betti == paper_closed_form(r), r
+
+
 # --- comparison set -----------------------------------------------------------------
 
 
