@@ -115,7 +115,12 @@ def open_betti(block: BuildingBlock) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class EulerCheck:
-    """Both computation routes for an involution block, side by side."""
+    """Both computation routes for an involution block, side by side.
+
+    ``ok`` also requires an even fixed-curve Euler sum, without which the
+    quotient's Euler characteristic 24 + 3 * euler_sum is odd and h12 is
+    not an integer.
+    """
 
     curve_count: int
     euler_sum: int
@@ -126,7 +131,11 @@ class EulerCheck:
 
     @property
     def ok(self) -> bool:
-        return self.h11 == self.b2_bar and 2 * self.h12 == self.b3_bar
+        return (
+            self.euler_sum % 2 == 0
+            and self.h11 == self.b2_bar
+            and 2 * self.h12 == self.b3_bar
+        )
 
 
 def euler_crosscheck(t: NikulinTriple) -> EulerCheck:
@@ -143,9 +152,7 @@ def euler_crosscheck(t: NikulinTriple) -> EulerCheck:
     curves = locus.curve_count
     euler = locus.euler_sum
     h11 = t.r + 1 + 2 * curves
-    e_total = 24 + 3 * euler
-    assert e_total % 2 == 0
-    h12 = 1 + h11 - e_total // 2
+    h12 = 1 + h11 - (24 + 3 * euler) // 2
     return EulerCheck(
         curve_count=curves,
         euler_sum=euler,

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -146,39 +146,96 @@ def _banner(
     )
 
 
-def _write_rows(rows: list[dict], fieldnames: Sequence[str], fmt: str) -> None:
-    if fmt == "json":
-        json.dump({"rows": rows}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return
-    flat = [
-        {k: " ".join(map(str, v)) if isinstance(v, (list, tuple)) else v for k, v in row.items()}
-        for row in rows
-    ]
+def _joined(items: Sequence) -> str:
+    return " ".join(map(str, items))
+
+
+_JSON_SCALAR = {
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: str,
+    str: encode_basestring_ascii,
+}
+
+
+def _json_list(items: Sequence) -> str:
+    """A tuple as ``json.dumps(..., indent=2)`` nests it, as a list, in a row."""
+    if not items:
+        return "[]"
+    body = ",\n        ".join([_JSON_SCALAR[type(v)](v) for v in items])
+    return "[\n        " + body + "\n      ]"
+
+
+_PLAIN = {bool: str, int: str, str: None, tuple: _joined}
+# Per format, the converter for a column by the type of its cells; None
+# keeps the cells as they are (``%s`` prints an int as json does).
+_CONVERTERS = {
+    "text": _PLAIN,
+    "csv": _PLAIN,
+    "json": {**_JSON_SCALAR, int: None, tuple: _json_list},
+}
+
+
+def _write_rows(rows: Sequence[tuple], fields: Sequence[str], fmt: str) -> None:
+    """Write ``rows``, tuples in ``fields`` order, to stdout as text, csv or json.
+
+    The cells of one column share a type; a sequence cell is a tuple whose
+    items share a type.  Each column is converted as a whole, every row is
+    filled into one template, and the lines are streamed to stdout rather
+    than joined, so the rendered output is never held whole.  The bytes are
+    those of ``csv.DictWriter``, of ``json.dump({"rows": [...]}, indent=2)``
+    plus a newline, and of a text table left-justified to each column's
+    widest cell.
+    """
+    out = sys.stdout
+    converters = _CONVERTERS[fmt]
+    columns = []
+    for column in zip(*rows) if rows else [()] * len(fields):
+        convert = converters[type(column[0])] if column else None
+        if convert is not None:
+            # Each distinct value is converted once; equal cells share its string.
+            encoded = {cell: convert(cell) for cell in set(column)}
+            column = list(map(encoded.__getitem__, column))
+        columns.append(column)
+    lines = zip(*columns)
     if fmt == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=list(fieldnames))
-        writer.writeheader()
-        writer.writerows(flat)
-        return
-    widths = {f: max([len(f)] + [len(str(r.get(f, ""))) for r in flat]) for f in fieldnames}
-    print("  ".join(f.ljust(widths[f]) for f in fieldnames))
-    for row in flat:
-        print("  ".join(str(row.get(f, "")).ljust(widths[f]) for f in fieldnames))
+        writer = csv.writer(out)
+        writer.writerow(fields)
+        writer.writerows(lines)
+    elif fmt == "json":
+        template = (
+            "    {\n"
+            + ",\n".join(
+                f"      {encode_basestring_ascii(f).replace('%', '%%')}: %s" for f in fields
+            )
+            + "\n    }"
+        )
+        first = next(lines, None)
+        if first is None:
+            out.write('{\n  "rows": []\n}\n')
+            return
+        out.write('{\n  "rows": [\n' + template % first)
+        out.writelines(map((",\n" + template).__mod__, lines))
+        out.write("\n  ]\n}\n")
+    else:
+        widths = [max([len(f), *map(len, c)]) for f, c in zip(fields, columns)]
+        template = "  ".join(f"%-{w}s" for w in widths) + "\n"
+        out.write(template % tuple(fields))
+        out.writelines(map(template.__mod__, lines))
 
 
-def _record_rows(records: Sequence[G2Record]) -> list[dict]:
+def _record_rows(records: Sequence[G2Record]) -> list[tuple]:
     return [
-        {
-            "b2": r.b2,
-            "b3": r.b3,
-            "mode": r.mode,
-            "n": r.n,
-            "condition": r.certificate.condition,
-            "block1": r.blocks[0].label,
-            "block2": r.blocks[1].label,
-            "simply_connected": r.simply_connected,
-            "flags": list(r.flags),
-        }
+        (
+            r.b2,
+            r.b3,
+            r.mode,
+            r.n,
+            r.certificate.condition,
+            r.blocks[0].label,
+            r.blocks[1].label,
+            r.simply_connected,
+            r.flags,
+        )
         for r in records
     ]
 
@@ -206,23 +263,13 @@ def _cmd_validate(
     joyce: JoyceCatalog | None,
 ) -> int:
     rows = [
-        {
-            "catalog": "nikulin",
-            "rows": len(nikulin),
-            "status": "complete" if nikulin.complete else "incomplete",
-        },
-        {
-            "catalog": "fano",
-            "rows": len(fano),
-            "status": "rank-1 complete" if fano.complete_rank_1 else "rank-1 incomplete",
-        },
-        {
-            "catalog": "joyce",
-            "rows": 0 if joyce is None else len(joyce),
-            "status": "absent"
-            if joyce is None
-            else ("complete" if joyce.complete else "incomplete"),
-        },
+        ("nikulin", len(nikulin), "complete" if nikulin.complete else "incomplete"),
+        ("fano", len(fano), "rank-1 complete" if fano.complete_rank_1 else "rank-1 incomplete"),
+        (
+            "joyce",
+            0 if joyce is None else len(joyce),
+            "absent" if joyce is None else ("complete" if joyce.complete else "incomplete"),
+        ),
     ]
     _write_rows(rows, ("catalog", "rows", "status"), args.format)
     return EXIT_OK
@@ -251,8 +298,7 @@ def _cmd_betti_list(
     args: argparse.Namespace, nikulin: NikulinCatalog, fano: FanoCatalog
 ) -> int:
     records = _mode_records(args.mode, nikulin, fano)
-    rows = [{"b2": b2, "b3": b3} for b2, b3 in distinct_betti(records)]
-    _write_rows(rows, ("b2", "b3"), args.format)
+    _write_rows(distinct_betti(records), ("b2", "b3"), args.format)
     return EXIT_OK
 
 
@@ -262,8 +308,8 @@ def _cmd_table1(
     records = enumerate_emb(fano, nikulin)
     rows = []
     for b2 in range(2, 19, 2):
-        values = sorted({r.b3 for r in records if r.b2 == b2})
-        rows.append({"b2": b2, "count": len(values), "b3_values": values})
+        values = tuple(sorted({r.b3 for r in records if r.b2 == b2}))
+        rows.append((b2, len(values), values))
     _write_rows(rows, ("b2", "count", "b3_values"), args.format)
     return EXIT_OK
 
@@ -284,15 +330,11 @@ def _cmd_crosscheck(
         if not result.ok:
             failures.append(
                 f"fixed-curve recomputation disagrees for {t.key}: "
-                f"h11 {result.h11} vs b2 {result.b2_bar}, h12 {result.h12} vs b3/2"
+                f"h11 {result.h11} vs b2 {result.b2_bar}, "
+                f"h12 {result.h12} vs b3/2 {result.b3_bar // 2}, "
+                f"fixed-curve Euler sum {result.euler_sum}"
             )
-    rows = [
-        {
-            "check": "euler_crosscheck",
-            "items": checked,
-            "status": "FAIL" if failures else "OK",
-        }
-    ]
+    rows = [("euler_crosscheck", checked, "FAIL" if failures else "OK")]
 
     emb_records = enumerate_emb(fano, nikulin)
     all_records = (
@@ -301,36 +343,36 @@ def _cmd_crosscheck(
         + enumerate_seq(fano, nikulin)
         + enumerate_large_rank(fano, nikulin)
     )
-    rows.append({"check": "closed_vs_glue", "items": len(all_records), "status": "OK"})
+    rows.append(("closed_vs_glue", len(all_records), "OK"))
 
     counts = count_matched_pairs(emb_records)
     rows.append(
-        {
-            "check": "pair_totals",
-            "items": counts.unordered_with_self,
-            "status": f"a={counts.clause_a} b={counts.clause_b} c={counts.clause_c} "
+        (
+            "pair_totals",
+            counts.unordered_with_self,
+            f"a={counts.clause_a} b={counts.clause_b} c={counts.clause_c} "
             f"diagonal={counts.diagonal} ordered={counts.ordered} "
             f"no_self={counts.unordered_no_self}",
-        }
+        )
     )
     rows.append(
-        {
-            "check": "distinct_betti",
-            "items": len(distinct_betti(all_records)),
-            "status": f"emb={len(distinct_betti(emb_records))}",
-        }
+        (
+            "distinct_betti",
+            len(distinct_betti(all_records)),
+            f"emb={len(distinct_betti(emb_records))}",
+        )
     )
     comparison = compare_joyce(emb_records, joyce)
     if comparison is None:
-        rows.append({"check": "joyce_comparison", "items": 0, "status": "NOT_AVAILABLE"})
+        rows.append(("joyce_comparison", 0, "NOT_AVAILABLE"))
     else:
         rows.append(
-            {
-                "check": "joyce_comparison",
-                "items": len(joyce) if joyce else 0,
-                "status": f"overlap={comparison.overlap_count} new={comparison.new_count} "
+            (
+                "joyce_comparison",
+                len(joyce) if joyce else 0,
+                f"overlap={comparison.overlap_count} new={comparison.new_count} "
                 f"mod4_violations={comparison.mod4_violations}",
-            }
+            )
         )
 
     _write_rows(rows, ("check", "items", "status"), args.format)

@@ -85,8 +85,7 @@ class IdentityError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class GlueResult:
+class GlueResult(NamedTuple):
     """Betti numbers of one gluing, with the rank-condition outcome."""
 
     b2: int
@@ -102,8 +101,7 @@ class GlueResult:
         return () if self.rank_condition_ok else (UNVERIFIED,)
 
 
-@dataclass(frozen=True)
-class G2Record:
+class G2Record(NamedTuple):
     """One matched pair of blocks and the resulting (b2, b3)."""
 
     b2: int
@@ -120,7 +118,7 @@ class G2Record:
 
     @property
     def simply_connected(self) -> bool:
-        return all(b.simply_connected for b in self.blocks)
+        return self.blocks[0].simply_connected and self.blocks[1].simply_connected
 
     @property
     def verified(self) -> bool:

@@ -1,5 +1,7 @@
 """Building-block Betti formulas and the Euler-characteristic crosscheck."""
 
+import dataclasses
+
 import pytest
 
 from g2sum.building_blocks import (
@@ -92,6 +94,13 @@ def test_euler_crosscheck_worked_example(nikulin):
     assert (ec.h11, ec.h12) == (36, 4)
     assert (ec.b2_bar, ec.b3_bar) == (36, 8)
     assert ec.ok
+
+
+def test_euler_check_requires_even_euler_sum(nikulin):
+    ec = euler_crosscheck(nikulin.find(17, 1, 1))
+    odd = dataclasses.replace(ec, euler_sum=ec.euler_sum + 1)
+    assert (odd.h11, 2 * odd.h12) == (odd.b2_bar, odd.b3_bar)
+    assert not odd.ok
 
 
 def test_euler_crosscheck_all_triples(nikulin):

@@ -270,6 +270,48 @@ def test_identity_failure_exits_1_in_every_build(optimize, planted, argv):
     assert "OK" not in proc.stdout.split()
 
 
+# An odd fixed-curve Euler sum planted for one involution class: the
+# quotient's Euler characteristic 24 + 3 * euler_sum is then odd.
+PLANTED_ODD_EULER_SUM = """
+import sys
+import g2sum.building_blocks as building_blocks
+from g2sum.cli import main
+
+real_fixed_locus = building_blocks.fixed_locus
+
+
+class OddLocus:
+    def __init__(self, locus):
+        self.kind = locus.kind
+        self.curve_count = locus.curve_count
+        self.euler_sum = locus.euler_sum + 1
+
+
+def odd_fixed_locus(t):
+    locus = real_fixed_locus(t)
+    return OddLocus(locus) if t.key == (17, 1, 1) else locus
+
+
+building_blocks.fixed_locus = odd_fixed_locus
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [(), ("-O",)], ids=["plain", "optimized"])
+def test_odd_euler_sum_fails_crosscheck_in_every_build(optimize):
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-c", PLANTED_ODD_EULER_SUM, "crosscheck"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert "Traceback" not in proc.stderr
+    assert "fixed-curve recomputation disagrees for (17, 1, 1)" in proc.stderr
+    assert "fixed-curve Euler sum 15" in proc.stderr
+    assert proc.stdout.split()[3:6] == ["euler_crosscheck", "74", "FAIL"]
+
+
 def test_internal_assertion_is_not_a_catalog_failure(monkeypatch, capsys):
     import g2sum.cli as cli
 

@@ -1,5 +1,6 @@
 """Enumeration modes, gluing, and the pair-counting conventions."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -15,6 +16,7 @@ from g2sum.enumerator import (
     MIRROR,
     SEQ,
     UNVERIFIED,
+    GlueResult,
     compare_joyce,
     count_matched_pairs,
     distinct_betti,
@@ -96,6 +98,32 @@ def test_generic_record_carries_flags(nikulin):
     assert not rec.verified
     ok = generic_record(involution_block(nikulin.find(2, 0, 0)), b18, 0)
     assert ok.verified and ok.flags == ()
+
+
+def test_record_api(nikulin, emb_records):
+    b18 = involution_block(nikulin.find(18, 0, 0))
+    b200 = involution_block(nikulin.find(2, 0, 0))
+    glue = GlueResult(40, 79, False)
+    assert (glue.b2, glue.b3, glue.rank_condition_ok) == (40, 79, False)
+    assert glue == glue_betti(b18, b18)
+    assert glue.betti == (40, 79) and glue.flags == (UNVERIFIED,)
+    assert GlueResult(2, 5, True).flags == ()
+
+    rec = generic_record(b18, b200, 0)
+    assert (rec.b2, rec.mode, rec.n, rec.blocks) == (24, "GENERIC", 0, (b18, b200))
+    assert rec.betti == (24, 95) and rec.flags == () and rec.verified
+    assert rec.simply_connected is True
+    fundamental_group = dataclasses.replace(b200, simply_connected=False)
+    assert generic_record(b18, fundamental_group, 0).simply_connected is False
+
+    for obj, name in ((glue, "b3"), (glue, "rank_condition_ok"), (rec, "b2"), (rec, "flags")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    again = generic_record(b18, b200, 0)
+    assert rec == again and hash(rec) == hash(again)
+    assert len({rec, again, generic_record(b200, b18, 0)}) == 2
+    assert len({glue, GlueResult(40, 79, False)}) == 1
+    assert len(set(emb_records)) == 8211
 
 
 # --- mirror mode ----------------------------------------------------------------
