@@ -96,16 +96,10 @@ def nikulin_sufficient(
     return EmbeddingVerdict(SUFFICIENT, "numeric")
 
 
-_AMBIENT_SIG: Signature | None = None
+# Signature and rank of 2*E8_NEG + 2*H, computed once from its Gram matrix.
+_AMBIENT_SIG: Final = standard_lattice("TWO_E8_TWO_H").signature()
+_AMBIENT_RANK: Final = sum(_AMBIENT_SIG)
 _orientation_divergence_warned = False
-
-
-def _ambient_2e8_2h() -> tuple[Signature, int]:
-    """Signature and rank of 2*E8_NEG + 2*H, computed once from the Gram."""
-    global _AMBIENT_SIG
-    if _AMBIENT_SIG is None:
-        _AMBIENT_SIG = standard_lattice("TWO_E8_TWO_H").signature()
-    return _AMBIENT_SIG, sum(_AMBIENT_SIG)
 
 
 def embeds_in_2e8_2h(parts: Iterable[tuple[int, int, Signature]]) -> EmbeddingVerdict:
@@ -126,9 +120,8 @@ def embeds_in_2e8_2h(parts: Iterable[tuple[int, int, Signature]]) -> EmbeddingVe
         plus += sig.t_plus
         minus += sig.t_minus
     sig_n = Signature(plus, minus)
-    sig_e, rk_e = _ambient_2e8_2h()
-    verdict = nikulin_sufficient(sig_n, rk_total, l_total, sig_e, rk_e)
-    _warn_if_orientation_sensitive(sig_n, rk_total, l_total, sig_e, rk_e, verdict)
+    verdict = nikulin_sufficient(sig_n, rk_total, l_total, _AMBIENT_SIG, _AMBIENT_RANK)
+    _warn_if_orientation_sensitive(sig_n, rk_total, l_total, _AMBIENT_SIG, _AMBIENT_RANK, verdict)
     return verdict
 
 

@@ -2,10 +2,11 @@
 
 A lattice is described by its Gram matrix: a square symmetric matrix of
 integers recording the pairwise products of a fixed basis.  Everything in
-this module is computed exactly — signatures by symmetric Gaussian
-elimination over the rationals, determinants by fraction-free (Bareiss)
-elimination, discriminant groups via the integer Smith normal form with
-unimodular transforms tracked.  No floating point anywhere.
+this module is computed exactly and over the integers only — signatures
+by fraction-free symmetric elimination, determinants by fraction-free
+(Bareiss) elimination, discriminant groups via the integer Smith normal
+form with unimodular transforms tracked.  No floating point and no
+rationals anywhere.
 
 Conventions
 -----------
@@ -23,14 +24,22 @@ of generators ``l(N)`` is the number of nontrivial invariant factors.  A
 lattice is 2-elementary when the group is ``(Z/2)^a``; for those we also
 compute the parity invariant delta: 0 when every dual coset representative
 ``t`` has integral square ``t·t``, else 1.
+
+>>> lat = parse_lattice_expr("U + E7(-1)")
+>>> lat.signature(), lat.determinant()
+(Signature(t_plus=1, t_minus=8), 2)
+>>> lat.discriminant()
+DiscriminantInfo(invariant_factors=(2,), order=2, l=1, is_2_elementary=True, delta=1)
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import prod
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from math import gcd, prod
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -48,11 +57,14 @@ class Signature(NamedTuple):
 
 
 def _freeze(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 @dataclass(frozen=True)
@@ -112,12 +124,13 @@ class IntLattice:
         for row in frozen:
             if len(row) != n:
                 raise LatticeError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if frozen[i][j] != frozen[j][i]:
-                    raise LatticeError(
-                        f"Gram matrix must be symmetric (entries {(i, j)} and {(j, i)} differ)"
-                    )
+        if frozen != tuple(zip(*frozen)):
+            i, j = next(
+                (i, j) for i in range(n) for j in range(i + 1, n) if frozen[i][j] != frozen[j][i]
+            )
+            raise LatticeError(
+                f"Gram matrix must be symmetric (entries {(i, j)} and {(j, i)} differ)"
+            )
         object.__setattr__(self, "gram", frozen)
 
     @property
@@ -156,135 +169,150 @@ class IntLattice:
     def signature(self) -> Signature:
         """Exact Sylvester signature; raises on a degenerate form.
 
-        Symmetric Gaussian elimination over the rationals.  A zero pivot
+        Symmetric elimination over the integers, with no division.  With
+        pivot ``p = a[t][t]`` and ``s = sign(p)``, the trailing block becomes
+        ``s * (p * a[i][j] - a[i][t] * a[t][j])``: ``|p|`` times the
+        Schur complement, so every row of the block is scaled and the step
+        stays a congruence up to a positive factor.  The block is then
+        divided by the gcd of its entries to keep them small.  A zero pivot
         block with a nonzero off-diagonal entry a[i][j] is repaired by the
         congruence "add row j and column j to i", which makes the new
         diagonal entry 2*a[i][j] != 0.
         """
-        n = self.rank
-        a = [[Fraction(x) for x in row] for row in self.gram]
+        a = [list(row) for row in self.gram]
         pos = neg = 0
-        for t in range(n):
-            piv = next((i for i in range(t, n) if a[i][i] != 0), None)
+        while a:
+            m = len(a)
+            piv = next((i for i in range(m) if a[i][i]), None)
             if piv is None:
-                mix = next(
-                    ((i, j) for i in range(t, n) for j in range(i + 1, n) if a[i][j] != 0),
-                    None,
-                )
+                mix = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
                 if mix is None:
                     raise LatticeError("degenerate Gram matrix (zero block remains)")
                 i, j = mix
-                for k in range(n):
-                    a[i][k] += a[j][k]
-                for k in range(n):
-                    a[k][i] += a[k][j]
-                piv = i
-            if piv != t:
-                a[t], a[piv] = a[piv], a[t]
+                a[i] = [x + y for x, y in zip(a[i], a[j])]
                 for row in a:
-                    row[t], row[piv] = row[piv], row[t]
-            p = a[t][t]
+                    row[i] += row[j]
+                piv = i
+            if piv:
+                a[0], a[piv] = a[piv], a[0]
+                for row in a:
+                    row[0], row[piv] = row[piv], row[0]
+            p = a[0][0]
             if p > 0:
                 pos += 1
             else:
                 neg += 1
-            # One-sided row reduction is the full congruence on the trailing
-            # block: the column correction terms cancel because a[i][t] is
-            # reduced to exactly f*p.
-            factors = [(i, a[i][t] / p) for i in range(t + 1, n) if a[i][t] != 0]
-            for i, f in factors:
-                for j in range(t, n):
-                    a[i][j] -= f * a[t][j]
-            for i, f in factors:
-                for j in range(t, n):
-                    a[j][i] = a[i][j]
+            s = 1 if p > 0 else -1
+            q = s * p
+            head = a[0][1:]
+            block = []
+            for row in a[1:]:
+                c = s * row[0]
+                if c:
+                    block.append([q * x - c * h for x, h in zip(row[1:], head)])
+                else:
+                    block.append([q * x for x in row[1:]])
+            g = gcd(*chain.from_iterable(block))
+            if g > 1:
+                block = [[x // g for x in row] for row in block]
+            a = block
         return Signature(pos, neg)
 
     def smith_normal_form(self) -> SmithDecomposition:
-        """Smith normal form over the integers with transforms tracked."""
+        """Smith normal form over the integers with transforms tracked.
+
+        The lattice is immutable, so the decomposition is computed once per
+        instance and every call returns that same object.
+        """
+        return self._smith
+
+    @cached_property
+    def _smith(self) -> SmithDecomposition:
         n = self.rank
         a = [list(row) for row in self.gram]
         u = _identity(n)
         v = _identity(n)
-
-        def swap_rows(i: int, j: int) -> None:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-        def swap_cols(i: int, j: int) -> None:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-        def add_row(src: int, dst: int, c: int) -> None:
-            a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-            u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-        def add_col(src: int, dst: int, c: int) -> None:
-            for row in a:
-                row[dst] += c * row[src]
-            for row in v:
-                row[dst] += c * row[src]
-
-        def negate_row(i: int) -> None:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-
+        # Row operations act on a and u, column operations on a and v.
         for t in range(n):
             while True:
-                # Move a least-|entry| pivot of the trailing block to (t, t).
-                pivot = None
+                # Move the first least-|entry| of the trailing block (row
+                # major) to (t, t); nothing beats an entry of absolute value 1.
+                best = pi = pj = 0
                 for i in range(t, n):
+                    row = a[i]
                     for j in range(t, n):
-                        x = a[i][j]
-                        if x != 0 and (pivot is None or abs(x) < abs(a[pivot[0]][pivot[1]])):
-                            pivot = (i, j)
-                if pivot is None:
+                        x = row[j]
+                        if x:
+                            if x < 0:
+                                x = -x
+                            if not best or x < best:
+                                best, pi, pj = x, i, j
+                                if x == 1:
+                                    break
+                    if best == 1:
+                        break
+                if not best:
                     break  # trailing block is zero
-                if pivot[0] != t:
-                    swap_rows(t, pivot[0])
-                if pivot[1] != t:
-                    swap_cols(t, pivot[1])
+                if pi != t:
+                    a[t], a[pi] = a[pi], a[t]
+                    u[t], u[pi] = u[pi], u[t]
+                if pj != t:
+                    for row in a:
+                        row[t], row[pj] = row[pj], row[t]
+                    for row in v:
+                        row[t], row[pj] = row[pj], row[t]
                 if a[t][t] < 0:
-                    negate_row(t)
-                p = a[t][t]
+                    a[t] = [-x for x in a[t]]
+                    u[t] = [-x for x in u[t]]
+                head = a[t]
+                p = head[t]
                 # Reduce column t and row t; any nonzero remainder is
                 # strictly smaller than |p|, so the while loop terminates.
                 dirty = False
                 for i in range(t + 1, n):
-                    if a[i][t] != 0:
-                        add_row(t, i, -(a[i][t] // p))
+                    if a[i][t]:
+                        c = -(a[i][t] // p)
+                        a[i] = [x + c * y for x, y in zip(a[i], head)]
+                        u[i] = [x + c * y for x, y in zip(u[i], u[t])]
                         dirty = dirty or a[i][t] != 0
                 for j in range(t + 1, n):
-                    if a[t][j] != 0:
-                        add_col(t, j, -(a[t][j] // p))
-                        dirty = dirty or a[t][j] != 0
+                    if head[j]:
+                        c = -(head[j] // p)
+                        for row in a:
+                            row[j] += c * row[t]
+                        for row in v:
+                            row[j] += c * row[t]
+                        dirty = dirty or head[j] != 0
                 if dirty:
                     continue
                 # Enforce the divisibility chain: drag any entry not
                 # divisible by the pivot into row t and keep reducing.
+                if p == 1:
+                    break
                 bad = next(
-                    (i for i in range(t + 1, n) for j in range(t + 1, n) if a[i][j] % p != 0),
+                    (i for i in range(t + 1, n) for j in range(t + 1, n) if a[i][j] % p),
                     None,
                 )
                 if bad is None:
                     break
-                add_row(bad, t, 1)
-        return SmithDecomposition(U=_freeze(u), S=_freeze(a), V=_freeze(v))
+                a[t] = [x + y for x, y in zip(head, a[bad])]
+                u[t] = [x + y for x, y in zip(u[t], u[bad])]
+        return SmithDecomposition(
+            U=tuple(map(tuple, u)), S=tuple(map(tuple, a)), V=tuple(map(tuple, v))
+        )
 
     def discriminant(self) -> DiscriminantInfo:
         """Invariant factors, group order, l, 2-elementarity and delta.
 
-        Requires an even nondegenerate lattice.  delta is computed only for
-        2-elementary discriminant groups, by enumerating all ``2^l`` dual
-        coset representatives ``t`` (columns of V over the factor-2 slots,
-        halved) and testing whether every ``t·t`` is an integer; it is
-        ``None`` ("undefined") otherwise.
+        Requires an even nondegenerate lattice.  Reads the lattice's one
+        Smith decomposition.  delta is computed only for 2-elementary
+        discriminant groups, from the ``l`` generator squares (see
+        :meth:`_delta_2_elementary`); it is ``None`` ("undefined")
+        otherwise.
         """
         if not self.is_even():
             raise LatticeError("discriminant data is defined here for even lattices only")
-        snf = self.smith_normal_form()
+        snf = self._smith
         diag = snf.diagonal
         if any(s == 0 for s in diag):
             raise LatticeError("degenerate Gram matrix has no discriminant group")
@@ -305,44 +333,33 @@ class IntLattice:
     def _delta_2_elementary(self, snf: SmithDecomposition) -> int:
         """Parity invariant for a (Z/2)^l discriminant group.
 
-        The dual lattice is spanned over the lattice by the columns of V
-        sitting over invariant factor 2, divided by 2.  For a subset sum
-        ``t = w/2`` the square ``t·t`` is integral iff ``w·gram·w`` is
-        divisible by 4; precomputing the pairwise products makes the
-        ``2^l`` subset scan cheap.
+        The dual lattice is spanned over the lattice by the generators
+        ``t_i = w_i/2``, ``w_i`` the columns of V sitting over invariant
+        factor 2.  Since ``2*t_i`` lies in the lattice, ``2*b(t_i, t_j)`` is
+        an integer, so ``(sum t_i)^2 = sum t_i^2 (mod Z)``: every dual
+        square is integral iff every generator square is, i.e. iff each
+        ``w_i·gram·w_i`` is divisible by 4.  That is ``l`` quadratic forms,
+        O(l·n²), with no subset scan.
         """
-        n = self.rank
-        cols = [
-            tuple(snf.V[r][i] for r in range(n))
-            for i in range(n)
-            if snf.S[i][i] == 2
-        ]
-        l = len(cols)
-        pair = [
-            [
-                sum(ci[r] * self.gram[r][s] * cj[s] for r in range(n) for s in range(n))
-                for cj in cols
-            ]
-            for ci in cols
-        ]
-        for mask in range(1, 1 << l):
-            members = [i for i in range(l) if mask >> i & 1]
-            square = sum(pair[i][j] for i in members for j in members)
-            if square % 4 != 0:
-                return 1
+        for i, d in enumerate(snf.diagonal):
+            if d == 2:
+                w = [row[i] for row in snf.V]
+                square = sum(x * sum(map(mul, row, w)) for x, row in zip(w, self.gram) if x)
+                if square % 4:
+                    return 1
         return 0
 
 
 def delta_invariant(lattice: IntLattice) -> int:
     """Strict accessor for delta; raises unless the lattice is 2-elementary."""
     info = lattice.discriminant()
-    if not info.is_2_elementary:
+    delta = info.delta
+    if delta is None:
         raise LatticeError(
             "delta is defined only for 2-elementary discriminant groups "
             f"(invariant factors {info.invariant_factors})"
         )
-    assert info.delta is not None
-    return info.delta
+    return delta
 
 
 def direct_sum(first: IntLattice, *rest: IntLattice) -> IntLattice:

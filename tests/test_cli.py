@@ -207,6 +207,16 @@ def test_module_entry_point():
     assert len(rows) == 11
 
 
+
+def test_cli_start_imports_no_rational_arithmetic():
+    probe = "import sys, g2sum.cli; print(*{'fractions', 'decimal', 'numbers'} & set(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 # A closed-form/gluing mismatch planted in the gluing formula: b3 shifted by 4.
 PLANTED_GLUE_BUG = """
 import sys

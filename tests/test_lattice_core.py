@@ -1,7 +1,10 @@
 """Unit tests for the exact integer lattice engine."""
 
+import doctest
+
 import pytest
 
+import g2sum.lattice_core as lattice_core
 from g2sum.lattice_core import (
     IntLattice,
     LatticeError,
@@ -205,3 +208,31 @@ def test_parse_lattice_expr_errors():
         parse_lattice_expr("<0>")
     with pytest.raises(LatticeError, match="n >= 3"):
         parse_lattice_expr("D2")
+
+
+def test_module_doctests_pass():
+    result = doctest.testmod(lattice_core)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+def test_smith_form_computed_once_per_lattice(monkeypatch):
+    made = []
+    identity = lattice_core._identity
+    monkeypatch.setattr(lattice_core, "_identity", lambda n: made.append(n) or identity(n))
+    lat = parse_lattice_expr("U(2) + E7(-1) + A1")
+    disc = lat.discriminant()
+    snf = lat.smith_normal_form()
+    assert lat.smith_normal_form() is snf
+    assert lat.discriminant() == disc
+    assert made == [lat.rank, lat.rank]  # U and V of one decomposition
+
+
+def test_equality_and_hash_ignore_the_cached_smith_form():
+    gram = ((2, 1, 0), (1, -4, 3), (0, 3, 0))
+    cached, plain = IntLattice(gram), IntLattice([list(row) for row in gram])
+    cached.smith_normal_form()
+    assert cached == plain and plain == cached
+    assert hash(cached) == hash(plain)
+    assert len({cached, plain}) == 1
+    assert repr(cached) == repr(plain)

@@ -2,19 +2,28 @@
 
 The deterministic 500-matrix battery mirrors the acceptance suite; the
 hypothesis properties below it explore the same invariants with shrinking.
+The engine's fast paths are checked against independent oracles: a
+signature by elimination over the rationals, delta by scanning all ``2^l``
+dual coset representatives, and (when sympy is installed) sympy's
+invariant factors.  The Smith transforms themselves are pinned by hash.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from g2sum.catalog import load_nikulin
 from g2sum.lattice_core import (
     IntLattice,
+    LatticeError,
     Signature,
     delta_invariant,
     direct_sum,
+    parse_lattice_expr,
     rescale,
     standard_lattice,
 )
@@ -92,8 +101,18 @@ def iter_nondegenerate_grams(count, seed=SEED):
         yield rng, lat
 
 
+def battery_500():
+    """The 500 Grams of the battery, each with the congruence it is checked under."""
+    return [(lat, random_unimodular(rng, lat.rank)) for rng, lat in iter_nondegenerate_grams(500)]
+
+
+def catalog_models():
+    """The lattice model of each of the 75 catalog rows, in catalog order."""
+    return [parse_lattice_expr(t.source) for t in load_nikulin().triples]
+
+
 def test_snf_battery_500():
-    for rng, lat in iter_nondegenerate_grams(500):
+    for lat, t in battery_500():
         snf = lat.smith_normal_form()
         n = lat.rank
 
@@ -120,7 +139,6 @@ def test_snf_battery_500():
         assert disc.order == product
 
         # signature is a congruence invariant
-        t = random_unimodular(rng, n)
         conjugated = IntLattice(mat_mul(mat_mul(transpose(t), lat.gram), t))
         assert conjugated.signature() == lat.signature()
         assert abs(conjugated.determinant()) == abs(lat.determinant())
@@ -187,3 +205,161 @@ def test_signature_counts_rank(gram):
     sig = lat.signature()
     assert sig.t_plus + sig.t_minus == lat.rank
     assert rescale(lat, -1).signature() == Signature(sig.t_minus, sig.t_plus)
+
+
+# --- independent oracles ----------------------------------------------------
+
+
+def signature_by_fractions(gram):
+    """Reference signature: symmetric Gaussian elimination over the rationals.
+
+    A zero pivot block with a nonzero off-diagonal entry a[i][j] is repaired
+    by adding row j and column j to i; a zero block raises LatticeError.
+    """
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    pos = neg = 0
+    for t in range(n):
+        piv = next((i for i in range(t, n) if a[i][i] != 0), None)
+        if piv is None:
+            mix = next(
+                ((i, j) for i in range(t, n) for j in range(i + 1, n) if a[i][j] != 0),
+                None,
+            )
+            if mix is None:
+                raise LatticeError("degenerate Gram matrix (zero block remains)")
+            i, j = mix
+            for k in range(n):
+                a[i][k] += a[j][k]
+            for k in range(n):
+                a[k][i] += a[k][j]
+            piv = i
+        if piv != t:
+            a[t], a[piv] = a[piv], a[t]
+            for row in a:
+                row[t], row[piv] = row[piv], row[t]
+        p = a[t][t]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        factors = [(i, a[i][t] / p) for i in range(t + 1, n) if a[i][t] != 0]
+        for i, f in factors:
+            for j in range(t, n):
+                a[i][j] -= f * a[t][j]
+        for i, f in factors:
+            for j in range(t, n):
+                a[j][i] = a[i][j]
+    return Signature(pos, neg)
+
+
+def delta_by_subsets(lat):
+    """Reference delta: test every one of the 2^l dual coset representatives.
+
+    Each representative is ``t = w/2`` for a subset sum ``w`` of the columns
+    of V over invariant factor 2; ``t·t`` is integral iff 4 divides
+    ``w·gram·w``.
+    """
+    snf = lat.smith_normal_form()
+    n = lat.rank
+    cols = [tuple(snf.V[r][i] for r in range(n)) for i in range(n) if snf.S[i][i] == 2]
+    for mask in range(1, 1 << len(cols)):
+        w = [sum(c[r] for k, c in enumerate(cols) if mask >> k & 1) for r in range(n)]
+        square = sum(w[r] * lat.gram[r][s] * w[s] for r in range(n) for s in range(n))
+        if square % 4 != 0:
+            return 1
+    return 0
+
+
+@st.composite
+def symmetric_grams(draw):
+    """Symmetric integer matrices of rank 1..8 with entries in [-50, 50].
+
+    The last ``k`` basis vectors get a zero diagonal; when ``split`` also
+    makes them orthogonal to the others, elimination reaches them as a
+    trailing block with zero diagonal, so the "add row/col j to i" repair
+    runs mid-way as well as at the start (``k == n``).
+    """
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(0, n))
+    split = draw(st.booleans())
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = draw(st.integers(-50, 50))
+            if (i == j and i >= n - k) or (split and i < n - k <= j):
+                x = 0
+            g[i][j] = g[j][i] = x
+    return tuple(map(tuple, g))
+
+
+def _signature_or_error(fn, gram):
+    try:
+        return fn(gram)
+    except LatticeError:
+        return LatticeError
+
+
+@given(symmetric_grams())
+@example(((2, 0, 0), (0, 0, 1), (0, 1, 0)))  # <2> + U: repair after one step
+@example(((0, 1, 1), (1, 0, 1), (1, 1, 0)))  # repair at the start
+@example(((-4, 0, 0), (0, 0, 0), (0, 0, 6)))  # degenerate: a zero block remains
+@settings(max_examples=400)
+def test_signature_matches_fraction_oracle(gram):
+    expected = _signature_or_error(signature_by_fractions, gram)
+    assert _signature_or_error(lambda g: IntLattice(g).signature(), gram) == expected
+    assert (expected is LatticeError) == (det_exact(gram) == 0)
+
+
+def test_delta_matches_subset_scan_on_models_and_battery():
+    checked = 0
+    for lat in catalog_models() + [lat for lat, _ in battery_500()]:
+        info = lat.discriminant()
+        if info.is_2_elementary:
+            assert info.delta == delta_by_subsets(lat), lat.gram
+            checked += 1
+    assert checked == 117  # the 75 models and 42 battery lattices
+
+
+DELTA_TERMS = (
+    "U", "U(2)", "A1", "A1(-1)", "<2>", "<-2>", "E7", "E7(-1)",
+    "D4", "D4(-1)", "D5", "D6(-1)", "D8", "D9(-1)",
+)
+
+
+@given(st.lists(st.sampled_from(DELTA_TERMS), min_size=1, max_size=4))
+@settings(max_examples=200)
+def test_delta_matches_subset_scan_on_direct_sums(terms):
+    lat = parse_lattice_expr(" + ".join(terms))
+    info = lat.discriminant()
+    if info.is_2_elementary:
+        assert info.delta == delta_by_subsets(lat)
+    else:
+        assert info.delta is None
+        with pytest.raises(LatticeError):
+            delta_invariant(lat)
+
+
+def test_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    for lat in catalog_models() + [lat for lat, _ in battery_500()]:
+        expected = invariant_factors(sympy.Matrix(lat.gram), domain=sympy.ZZ)
+        assert lat.smith_normal_form().diagonal == tuple(int(x) for x in expected), lat.gram
+
+
+# SHA-256 of the repr of (U, S, V) for the 75 catalog models and then the
+# 500-matrix battery, one line each.  The transforms are part of the
+# engine's output (delta reads V), so a faster kernel must perform the same
+# row and column operations and leave this hash as it is.
+SMITH_TRANSFORMS_SHA256 = "be9d292e8eb6c95896543581061d369506cfb4491e13a48c9a76a5003ee4947f"
+
+
+def test_smith_transforms_pinned():
+    lattices = catalog_models() + [lat for lat, _ in battery_500()]
+    text = "\n".join(
+        repr((snf.U, snf.S, snf.V)) for snf in (lat.smith_normal_form() for lat in lattices)
+    )
+    assert len(lattices) == 575
+    assert hashlib.sha256(text.encode()).hexdigest() == SMITH_TRANSFORMS_SHA256
