@@ -20,8 +20,9 @@ the fixed-curve geometry and verifies both routes agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from ._frozen import Frozen
 from .catalog import EMPTY, FanoFamily, NikulinTriple, fixed_locus
 from .lattice_core import LatticeError
 
@@ -30,24 +31,33 @@ KIND_FANO = "FANO"
 KIND_BLOWUP = "BLOWUP"
 
 
-@dataclass(frozen=True)
-class BuildingBlock:
+class BuildingBlock(Frozen, ignore=("triple", "fano")):
     """Topological summary of one building block.
 
     ``b2_bar``/``b3_bar`` are Betti numbers of the closed block; ``rank``
     and ``l_bound`` describe the polarizing lattice for embedding checks.
+    The catalog rows ``triple`` and ``fano`` take no part in equality.
     """
 
-    kind: str
-    label: str
-    b2_bar: int
-    b3_bar: int
-    d: int
-    rank: int
-    l_bound: int
-    simply_connected: bool = True
-    triple: NikulinTriple | None = field(default=None, compare=False)
-    fano: FanoFamily | None = field(default=None, compare=False)
+    __slots__ = (
+        "kind", "label", "b2_bar", "b3_bar", "d", "rank", "l_bound", "simply_connected",
+        "triple", "fano",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        label: str,
+        b2_bar: int,
+        b3_bar: int,
+        d: int,
+        rank: int,
+        l_bound: int,
+        simply_connected: bool = True,
+        triple: NikulinTriple | None = None,
+        fano: FanoFamily | None = None,
+    ) -> None:
+        self._fill(kind, label, b2_bar, b3_bar, d, rank, l_bound, simply_connected, triple, fano)
 
 
 def involution_block(t: NikulinTriple) -> BuildingBlock:
@@ -113,8 +123,7 @@ def open_betti(block: BuildingBlock) -> tuple[int, int]:
     return (b2, b3)
 
 
-@dataclass(frozen=True)
-class EulerCheck:
+class EulerCheck(NamedTuple):
     """Both computation routes for an involution block, side by side.
 
     ``ok`` also requires an even fixed-curve Euler sum, without which the

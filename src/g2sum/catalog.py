@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
+
+from ._frozen import Frozen
 
 NIKULIN_FILENAME = "nikulin.csv"
 FANO_FILENAME = "fano.csv"
@@ -38,29 +39,29 @@ class CatalogError(ValueError):
     """A catalog file failed validation; the message carries path:line."""
 
 
-@dataclass(frozen=True)
-class NikulinTriple:
-    """One isomorphism class of invariant lattices, keyed by (r, a, delta)."""
+class NikulinTriple(Frozen, ignore=("source",)):
+    """One isomorphism class of invariant lattices, keyed by (r, a, delta).
 
-    r: int
-    a: int
-    delta: int
-    source: str = field(default="", compare=False)
+    ``source`` (the model-lattice expression) takes no part in equality.
+    """
+
+    __slots__ = ("r", "a", "delta", "source")
+
+    def __init__(self, r: int, a: int, delta: int, source: str = "") -> None:
+        self._fill(r, a, delta, source)
 
     @property
     def key(self) -> tuple[int, int, int]:
         return (self.r, self.a, self.delta)
 
 
-@dataclass(frozen=True)
-class FanoFamily:
-    """One deformation family of Fano threefolds."""
+class FanoFamily(Frozen, ignore=("source",)):
+    """One deformation family of Fano threefolds; ``source`` takes no part in equality."""
 
-    id: str
-    b2: int
-    b3: int
-    minus_k3: int
-    source: str = field(default="", compare=False)
+    __slots__ = ("id", "b2", "b3", "minus_k3", "source")
+
+    def __init__(self, id: str, b2: int, b3: int, minus_k3: int, source: str = "") -> None:
+        self._fill(id, b2, b3, minus_k3, source)
 
     @property
     def g(self) -> int:
@@ -68,8 +69,7 @@ class FanoFamily:
         return self.b3 + self.minus_k3
 
 
-@dataclass(frozen=True)
-class FixedLocus:
+class FixedLocus(NamedTuple):
     """Fixed locus of the involution on the quotient surface.
 
     ``GENERIC`` means one curve of genus ``genus`` plus ``rational_curves``
@@ -87,7 +87,8 @@ class FixedLocus:
             return 0
         if self.kind == TWO_ELLIPTIC_CURVES:
             return 2
-        assert self.rational_curves is not None
+        if self.rational_curves is None:
+            raise ValueError(f"{self.kind} fixed locus needs rational_curves")
         return self.rational_curves + 1
 
     @property
@@ -95,14 +96,16 @@ class FixedLocus:
         """Total Euler characteristic of the fixed curves."""
         if self.kind == EMPTY or self.kind == TWO_ELLIPTIC_CURVES:
             return 0
-        assert self.genus is not None and self.rational_curves is not None
+        if self.genus is None or self.rational_curves is None:
+            raise ValueError(f"{self.kind} fixed locus needs genus and rational_curves")
         return (2 - 2 * self.genus) + 2 * self.rational_curves
 
 
-@dataclass(frozen=True)
-class NikulinCatalog(Sequence):
-    triples: tuple[NikulinTriple, ...]
-    complete: bool
+class NikulinCatalog(Frozen, Sequence):
+    __slots__ = ("triples", "complete")
+
+    def __init__(self, triples: tuple[NikulinTriple, ...], complete: bool) -> None:
+        self._fill(triples, complete)
 
     def __iter__(self) -> Iterator[NikulinTriple]:
         return iter(self.triples)
@@ -120,10 +123,11 @@ class NikulinCatalog(Sequence):
         return None
 
 
-@dataclass(frozen=True)
-class FanoCatalog(Sequence):
-    families: tuple[FanoFamily, ...]
-    complete_rank_1: bool
+class FanoCatalog(Frozen, Sequence):
+    __slots__ = ("families", "complete_rank_1")
+
+    def __init__(self, families: tuple[FanoFamily, ...], complete_rank_1: bool) -> None:
+        self._fill(families, complete_rank_1)
 
     def __iter__(self) -> Iterator[FanoFamily]:
         return iter(self.families)
@@ -149,10 +153,11 @@ class FanoCatalog(Sequence):
         )
 
 
-@dataclass(frozen=True)
-class JoyceCatalog(Sequence):
-    pairs: tuple[tuple[int, int], ...]
-    complete: bool
+class JoyceCatalog(Frozen, Sequence):
+    __slots__ = ("pairs", "complete")
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...], complete: bool) -> None:
+        self._fill(pairs, complete)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)

@@ -17,18 +17,14 @@ ladder, so further cases can be appended.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from math import gcd
 from itertools import product
-from typing import Callable, Final, Iterable, Sequence, TYPE_CHECKING
+from typing import Callable, Final, Iterable, NamedTuple, TYPE_CHECKING
 
 from .lattice_core import IntLattice, LatticeError, Signature, standard_lattice
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from .building_blocks import BuildingBlock
-
-log = logging.getLogger(__name__)
 
 SUFFICIENT: Final = "SUFFICIENT"
 SUFFICIENT_UNIQUE: Final = "SUFFICIENT_UNIQUE"
@@ -42,8 +38,7 @@ NONE: Final = "NONE"
 NOT_FOUND_WITHIN_BOUND: Final = None
 
 
-@dataclass(frozen=True)
-class EmbeddingVerdict:
+class EmbeddingVerdict(NamedTuple):
     """Outcome of a sufficiency test plus the rule that produced it."""
 
     status: str
@@ -54,8 +49,7 @@ class EmbeddingVerdict:
         return self.status in (SUFFICIENT, SUFFICIENT_UNIQUE)
 
 
-@dataclass(frozen=True)
-class MatchCertificate:
+class MatchCertificate(NamedTuple):
     """Which matching conditions a block pair is known to satisfy.
 
     ``condition`` is COND_A, COND_B, BOTH or NONE.  ``verdict_a`` explains
@@ -99,7 +93,6 @@ def nikulin_sufficient(
 # Signature and rank of 2*E8_NEG + 2*H, computed once from its Gram matrix.
 _AMBIENT_SIG: Final = standard_lattice("TWO_E8_TWO_H").signature()
 _AMBIENT_RANK: Final = sum(_AMBIENT_SIG)
-_orientation_divergence_warned = False
 
 
 def embeds_in_2e8_2h(parts: Iterable[tuple[int, int, Signature]]) -> EmbeddingVerdict:
@@ -107,9 +100,7 @@ def embeds_in_2e8_2h(parts: Iterable[tuple[int, int, Signature]]) -> EmbeddingVe
 
     ``parts`` lists ``(rank, l_bound, signature)`` per summand; ranks,
     l-values and signatures are additive over a direct sum.  The signature
-    gate is taken from the ambient Gram matrix itself (t+ <= 2,
-    t- <= 18); if the transposed gate would change the outcome, a warning
-    is logged (once per process, then at debug level).
+    gate is taken from the ambient Gram matrix itself (t+ <= 2, t- <= 18).
     """
     rk_total = 0
     l_total = 0
@@ -120,33 +111,7 @@ def embeds_in_2e8_2h(parts: Iterable[tuple[int, int, Signature]]) -> EmbeddingVe
         plus += sig.t_plus
         minus += sig.t_minus
     sig_n = Signature(plus, minus)
-    verdict = nikulin_sufficient(sig_n, rk_total, l_total, _AMBIENT_SIG, _AMBIENT_RANK)
-    _warn_if_orientation_sensitive(sig_n, rk_total, l_total, _AMBIENT_SIG, _AMBIENT_RANK, verdict)
-    return verdict
-
-
-def _warn_if_orientation_sensitive(
-    sig_n: Signature,
-    rk_n: int,
-    l_n: int,
-    sig_e: Signature,
-    rk_e: int,
-    verdict: EmbeddingVerdict,
-) -> None:
-    global _orientation_divergence_warned
-    swapped = nikulin_sufficient(sig_n, rk_n, l_n, Signature(sig_e.t_minus, sig_e.t_plus), rk_e)
-    if swapped.status == verdict.status:
-        return
-    message = (
-        "signature gate orientation matters for N with signature %s: "
-        "gate %s gives %s, transposed gate gives %s; trusting the Gram-derived gate"
-    )
-    args = (tuple(sig_n), tuple(sig_e), verdict.status, swapped.status)
-    if _orientation_divergence_warned:
-        log.debug(message, *args)
-    else:
-        log.warning(message, *args)
-        _orientation_divergence_warned = True
+    return nikulin_sufficient(sig_n, rk_total, l_total, _AMBIENT_SIG, _AMBIENT_RANK)
 
 
 def _is_fixed_point_free_type(block: "BuildingBlock") -> bool:

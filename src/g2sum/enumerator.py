@@ -41,7 +41,6 @@ determine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Final, Iterable, NamedTuple, Sequence
 
 from .building_blocks import (
@@ -258,8 +257,7 @@ def distinct_betti(records: Iterable[G2Record]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted({(r.b2, r.b3) for r in records}))
 
 
-@dataclass(frozen=True)
-class JoyceComparison:
+class JoyceComparison(NamedTuple):
     """Overlap statistics against the earlier construction's Betti pairs."""
 
     overlap_count: int
@@ -288,8 +286,7 @@ def compare_joyce(
     )
 
 
-@dataclass(frozen=True)
-class PairCounts:
+class PairCounts(NamedTuple):
     """Pair totals under the three counting conventions.
 
     A record is diagonal when both block references are equal (a family

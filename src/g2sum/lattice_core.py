@@ -35,12 +35,12 @@ DiscriminantInfo(invariant_factors=(2,), order=2, l=1, is_2_elementary=True, del
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from math import gcd, prod
-from operator import mul
+from operator import index, mul
 from typing import Iterator, NamedTuple, Sequence
+
+from ._frozen import Frozen
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -56,10 +56,6 @@ class Signature(NamedTuple):
     t_minus: int
 
 
-def _freeze(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(map(int, row)) for row in rows)
-
-
 def _identity(n: int) -> list[list[int]]:
     rows = [[0] * n for _ in range(n)]
     for i, row in enumerate(rows):
@@ -67,8 +63,7 @@ def _identity(n: int) -> list[list[int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """Integer Smith normal form ``U @ gram @ V == S`` with unimodular U, V.
 
     The diagonal of ``S`` is nonnegative and satisfies the divisibility
@@ -89,8 +84,7 @@ class SmithDecomposition:
         return tuple(s for s in self.diagonal if s != 1)
 
 
-@dataclass(frozen=True)
-class DiscriminantInfo:
+class DiscriminantInfo(NamedTuple):
     """Shape of the discriminant group, with the parity invariant.
 
     ``delta`` is 0 or 1 for 2-elementary lattices and ``None`` (meaning
@@ -105,21 +99,26 @@ class DiscriminantInfo:
     delta: int | None
 
 
-@dataclass(frozen=True)
-class IntLattice:
+class IntLattice(Frozen, ignore=("_smith",)):
     """A nondegenerate integer lattice given by its Gram matrix.
+
+    Entries must be integers (anything ``operator.index`` accepts); floats
+    and strings are rejected, never truncated.  Equality and hash read the
+    Gram matrix only, not the cached Smith form.
 
     >>> IntLattice([[0, 1], [1, 0]]).signature()
     Signature(t_plus=1, t_minus=1)
     """
 
-    gram: Matrix
+    __slots__ = ("gram", "_smith")
 
-    def __post_init__(self) -> None:
-        rows = self.gram
-        if not rows:
+    def __init__(self, gram: Sequence[Sequence[int]]) -> None:
+        if not gram:
             raise LatticeError("empty Gram matrix (rank must be at least 1)")
-        frozen = _freeze(rows)
+        try:
+            frozen = tuple(tuple(map(index, row)) for row in gram)
+        except TypeError as exc:
+            raise LatticeError(f"Gram matrix must be rows of integers ({exc})") from None
         n = len(frozen)
         for row in frozen:
             if len(row) != n:
@@ -131,7 +130,7 @@ class IntLattice:
             raise LatticeError(
                 f"Gram matrix must be symmetric (entries {(i, j)} and {(j, i)} differ)"
             )
-        object.__setattr__(self, "gram", frozen)
+        self._fill(frozen, None)
 
     @property
     def rank(self) -> int:
@@ -224,10 +223,17 @@ class IntLattice:
         The lattice is immutable, so the decomposition is computed once per
         instance and every call returns that same object.
         """
-        return self._smith
+        return self._smith_form()
 
-    @cached_property
-    def _smith(self) -> SmithDecomposition:
+    def _smith_form(self) -> SmithDecomposition:
+        """The one decomposition, computed on first use and kept in a slot."""
+        snf = self._smith
+        if snf is None:
+            snf = self._smith_decomposition()
+            object.__setattr__(self, "_smith", snf)
+        return snf
+
+    def _smith_decomposition(self) -> SmithDecomposition:
         n = self.rank
         a = [list(row) for row in self.gram]
         u = _identity(n)
@@ -312,7 +318,7 @@ class IntLattice:
         """
         if not self.is_even():
             raise LatticeError("discriminant data is defined here for even lattices only")
-        snf = self._smith
+        snf = self._smith_form()
         diag = snf.diagonal
         if any(s == 0 for s in diag):
             raise LatticeError("degenerate Gram matrix has no discriminant group")

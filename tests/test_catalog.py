@@ -1,5 +1,8 @@
 """Catalog ingestion, validation diagnostics, and derived queries."""
 
+import subprocess
+import sys
+
 import pytest
 
 from g2sum.catalog import (
@@ -8,6 +11,7 @@ from g2sum.catalog import (
     TWO_ELLIPTIC_CURVES,
     CatalogError,
     FanoFamily,
+    FixedLocus,
     NikulinTriple,
     default_data_dir,
     fixed_locus,
@@ -190,6 +194,30 @@ def test_fixed_locus_generic_shape(nikulin):
     assert loc.rational_curves == (17 - 1) // 2 == 8
     assert loc.curve_count == 9
     assert loc.euler_sum == (2 - 2 * 2) + 2 * 8 == 14
+
+
+@pytest.mark.parametrize("optimize", [(), ("-O",)], ids=["plain", "optimized"])
+def test_generic_fixed_locus_needs_its_curves_in_every_build(optimize):
+    with pytest.raises(ValueError, match="rational_curves"):
+        FixedLocus(GENERIC).curve_count
+    with pytest.raises(ValueError, match="genus"):
+        FixedLocus(GENERIC, rational_curves=3).euler_sum
+    probe = (
+        "from g2sum.catalog import FixedLocus\n"
+        "for name in ('curve_count', 'euler_sum'):\n"
+        "    try:\n"
+        "        getattr(FixedLocus('GENERIC'), name)\n"
+        "    except ValueError as exc:\n"
+        "        print(name, 'raised:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "curve_count raised: GENERIC fixed locus needs rational_curves",
+        "euler_sum raised: GENERIC fixed locus needs genus and rational_curves",
+    ]
 
 
 def test_fixed_locus_curve_counts():

@@ -217,6 +217,22 @@ def test_cli_start_imports_no_rational_arithmetic():
     assert proc.stdout.strip() == ""
 
 
+def test_cli_start_imports_no_dataclasses_inspect_or_logging():
+    # Only what the import itself adds counts, so a site hook that loads one
+    # of these modules before g2sum cannot fail the test.
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import g2sum.cli\n"
+        "print(*sorted({'dataclasses', 'inspect', 'logging'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 # A closed-form/gluing mismatch planted in the gluing formula: b3 shifted by 4.
 PLANTED_GLUE_BUG = """
 import sys
@@ -240,17 +256,20 @@ sys.exit(main(sys.argv[1:]))
 # involution block's b3_bar shifted by 2.  The enumerator's closed form reads
 # the catalog row, not the block, so it must still catch the mismatch.
 PLANTED_BLOCK_BUG = """
-import dataclasses
 import sys
 import g2sum.enumerator as enumerator
+from g2sum.building_blocks import BuildingBlock
 from g2sum.cli import main
 
 real_involution_block = enumerator.involution_block
 
 
 def shifted_involution_block(t):
-    block = real_involution_block(t)
-    return dataclasses.replace(block, b3_bar=block.b3_bar + 2)
+    b = real_involution_block(t)
+    return BuildingBlock(
+        b.kind, b.label, b.b2_bar, b.b3_bar + 2, b.d, b.rank, b.l_bound,
+        b.simply_connected, b.triple, b.fano,
+    )
 
 
 enumerator.involution_block = shifted_involution_block

@@ -1,6 +1,7 @@
 """Embedding sufficiency, matching certificates, isotropic search."""
 
-import logging
+import subprocess
+import sys
 
 import pytest
 
@@ -91,17 +92,20 @@ def test_embeds_fano_pair_small_ranks():
     assert embeds_in_2e8_2h(parts).status == SUFFICIENT_UNIQUE
 
 
-def test_orientation_warning_fires_once(monkeypatch, caplog):
-    monkeypatch.setattr(embedding_mod, "_orientation_divergence_warned", False)
-    divergent = [(5, 2, Signature(2, 3))]
-    with caplog.at_level(logging.DEBUG, logger="g2sum.embedding"):
-        embeds_in_2e8_2h(divergent)
-        embeds_in_2e8_2h(divergent)
-    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-    debugs = [r for r in caplog.records if r.levelno == logging.DEBUG]
-    assert len(warnings) == 1
-    assert "orientation" in warnings[0].getMessage()
-    assert len(debugs) == 1
+def test_emb_run_writes_only_the_banner_to_stderr():
+    # The ambient gate is read from the Gram matrix of 2*E8_NEG + 2*H, and
+    # a fresh process enumerating emb has nothing to say beyond the banner.
+    assert embedding_mod._AMBIENT_SIG == (2, 18)
+    proc = subprocess.run(
+        [sys.executable, "-m", "g2sum.cli", "betti-list", "emb"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 1 + 302
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("# data: nikulin 75 rows"), lines
 
 
 def _blocks(nikulin, *keys):

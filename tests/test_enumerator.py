@@ -1,12 +1,16 @@
 """Enumeration modes, gluing, and the pair-counting conventions."""
 
-import dataclasses
 from collections import Counter
 
 import pytest
 
 import g2sum.enumerator as enumerator_mod
-from g2sum.building_blocks import fano_block, involution_block, quartic_blowup_block
+from g2sum.building_blocks import (
+    BuildingBlock,
+    fano_block,
+    involution_block,
+    quartic_blowup_block,
+)
 from g2sum.catalog import JoyceCatalog
 from g2sum.enumerator import (
     EMB_A,
@@ -113,7 +117,10 @@ def test_record_api(nikulin, emb_records):
     assert (rec.b2, rec.mode, rec.n, rec.blocks) == (24, "GENERIC", 0, (b18, b200))
     assert rec.betti == (24, 95) and rec.flags == () and rec.verified
     assert rec.simply_connected is True
-    fundamental_group = dataclasses.replace(b200, simply_connected=False)
+    fundamental_group = BuildingBlock(
+        b200.kind, b200.label, b200.b2_bar, b200.b3_bar, b200.d, b200.rank, b200.l_bound,
+        simply_connected=False, triple=b200.triple,
+    )
     assert generic_record(b18, fundamental_group, 0).simply_connected is False
 
     for obj, name in ((glue, "b3"), (glue, "rank_condition_ok"), (rec, "b2"), (rec, "flags")):

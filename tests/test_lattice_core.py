@@ -35,6 +35,27 @@ def test_construction_rejects_bad_grams():
         IntLattice(())
 
 
+@pytest.mark.parametrize(
+    "gram",
+    [[[2.9, 1], [1, 2]], [["4"]], [[2, 1.0], [1.0, 2]], [[None]], [4]],
+    ids=["float", "str", "integral float", "None", "scalar row"],
+)
+def test_construction_rejects_non_integer_entries(gram):
+    with pytest.raises(LatticeError, match="rows of integers"):
+        IntLattice(gram)
+
+
+def test_construction_accepts_int_like_entries():
+    class Seven:
+        def __index__(self):
+            return 7
+
+    lat = IntLattice([[True, Seven()], [7, -2]])
+    assert lat.gram == ((1, 7), (7, -2))
+    assert all(type(x) is int for row in lat.gram for x in row)
+    assert lat == IntLattice(((1, 7), (7, -2)))
+
+
 def test_gram_is_stored_immutably():
     lat = IntLattice([[2, 1], [1, 2]])
     assert lat.gram == ((2, 1), (1, 2))
