@@ -138,20 +138,6 @@ class FanoCatalog(Frozen, Sequence):
     def __getitem__(self, i):  # type: ignore[override]
         return self.families[i]
 
-    def rank_one(self) -> tuple[FanoFamily, ...]:
-        return tuple(f for f in self.families if f.b2 == 1)
-
-    def without(self, *ids: str) -> "FanoCatalog":
-        """A copy with the given family ids removed (for count reconciliations)."""
-        drop = set(ids)
-        missing = drop - {f.id for f in self.families}
-        if missing:
-            raise CatalogError(f"cannot drop unknown family ids {sorted(missing)}")
-        return FanoCatalog(
-            families=tuple(f for f in self.families if f.id not in drop),
-            complete_rank_1=self.complete_rank_1,
-        )
-
 
 class JoyceCatalog(Frozen, Sequence):
     __slots__ = ("pairs", "complete")
@@ -192,6 +178,8 @@ def _read_rows(
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise CatalogError(f"{path}: cannot read catalog: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{path}: catalog is not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -355,20 +343,25 @@ def fixed_locus(t: NikulinTriple) -> FixedLocus:
     return FixedLocus(kind=GENERIC, genus=genus, rational_curves=rational)
 
 
-def mirror_partner(t: NikulinTriple, catalog: NikulinCatalog) -> NikulinTriple | None:
-    """The partner (20-r, a, delta) when the mirror relation applies.
+def mirror_key(t: NikulinTriple) -> tuple[int, int, int] | None:
+    """The key (20-r, a, delta) of the mirror partner of ``t``, or None.
 
-    Returns None when r + a = 22, for the (14,6,0) class, for (10,10,0)
-    (its formal self-partner is unusable: empty fixed locus), or when the
-    partner triple is not in the catalog.
+    The one definition of the mirror relation.  It is symmetric and
+    excludes (10,10,0), whose empty fixed locus gives no building block,
+    and (14,6,0), whose partner shape (6,6,0) is no even 2-elementary
+    lattice of signature (1, 5).
     """
-    if t.r + t.a == 22:
+    partner = (20 - t.r, t.a, t.delta)
+    excluded = ((10, 10, 0), (14, 6, 0))
+    if t.key in excluded or partner in excluded:
         return None
-    if t.key == (14, 6, 0):
-        return None
-    if t.key == (10, 10, 0):
-        return None
-    return catalog.find(20 - t.r, t.a, t.delta)
+    return partner
+
+
+def mirror_partner(t: NikulinTriple, catalog: NikulinCatalog) -> NikulinTriple | None:
+    """The catalog triple at ``mirror_key(t)``; None without a key or a row."""
+    key = mirror_key(t)
+    return None if key is None else catalog.find(*key)
 
 
 def mirror_pairs(catalog: NikulinCatalog) -> list[tuple[NikulinTriple, NikulinTriple]]:

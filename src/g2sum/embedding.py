@@ -8,20 +8,18 @@ number of generators of the discriminant group.  When in addition
 ``l(N) + rk N < rk E - 2`` the embedding is unique up to isometry.  The
 criterion is *sufficient only*: INCONCLUSIVE never proves non-existence.
 
-On top of the numeric route there is a small registry of special-case
-rules for block pairs that are known to embed even though the inequality
-fails (mirror pairs of invariant lattices; the two rank-17/18 lattices
-paired with any rank-one lattice).  The registry is data, not a branch
-ladder, so further cases can be appended.
+On top of the numeric route two special-case rules cover block pairs
+that are known to embed even though the inequality fails: mirror pairs of
+invariant lattices (the relation itself is ``catalog.mirror_key``), and
+the two rank-17/18 lattices paired with any rank-one lattice.
 """
 
 from __future__ import annotations
 
-from math import gcd
-from itertools import product
-from typing import Callable, Final, Iterable, NamedTuple, TYPE_CHECKING
+from typing import Final, Iterable, NamedTuple, TYPE_CHECKING
 
-from .lattice_core import IntLattice, LatticeError, Signature, standard_lattice
+from .catalog import mirror_key
+from .lattice_core import LatticeError, Signature, standard_lattice
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from .building_blocks import BuildingBlock
@@ -34,8 +32,6 @@ COND_A: Final = "COND_A"
 COND_B: Final = "COND_B"
 BOTH: Final = "BOTH"
 NONE: Final = "NONE"
-
-NOT_FOUND_WITHIN_BOUND: Final = None
 
 
 class EmbeddingVerdict(NamedTuple):
@@ -122,22 +118,12 @@ def _is_fixed_point_free_type(block: "BuildingBlock") -> bool:
 def _mirror_pair_rule(b1: "BuildingBlock", b2: "BuildingBlock") -> str | None:
     """Mirror pairs of invariant lattices embed with hyperbolic complements.
 
-    Fires for two non-symplectic blocks with triples (r, a, d) and
-    (20-r, a, d), excluding r+a = 22 and the (14,6,0) class.
+    Fires for two non-symplectic blocks whose triples are mirror partners
+    in the sense of ``catalog.mirror_key``.
     """
     t1, t2 = b1.triple, b2.triple
-    if t1 is None or t2 is None:
-        return None
-    for first, second in ((t1, t2), (t2, t1)):
-        if (
-            second.r == 20 - first.r
-            and second.a == first.a
-            and second.delta == first.delta
-            and first.r + first.a != 22
-            and (first.r, first.a, first.delta) != (14, 6, 0)
-            and (second.r, second.a, second.delta) != (14, 6, 0)
-        ):
-            return "mirror-pair"
+    if t1 is not None and t2 is not None and t2.key == mirror_key(t1):
+        return "mirror-pair"
     return None
 
 
@@ -154,20 +140,12 @@ def _large_rank_rank_one_rule(b1: "BuildingBlock", b2: "BuildingBlock") -> str |
     return None
 
 
-SpecialRule = Callable[["BuildingBlock", "BuildingBlock"], "str | None"]
-
-SPECIAL_EMBEDDING_RULES: tuple[SpecialRule, ...] = (
-    _mirror_pair_rule,
-    _large_rank_rank_one_rule,
-)
-
-
 def matching_condition(b1: "BuildingBlock", b2: "BuildingBlock") -> MatchCertificate:
     """Certificate for the two known matching conditions of a block pair.
 
     Condition A holds when the two polarizing lattices (signatures
     (1, r-1), l bounded per block kind) numerically embed into
-    2*E8_NEG + 2*H, or when a registered special-case rule fires.
+    2*E8_NEG + 2*H, or when the mirror-pair or large-rank rule fires.
     Condition B is the rank bound max(r1, r2) <= 10.  Blocks of the
     fixed-point-free non-symplectic class (10,10,0) are rejected.
     """
@@ -180,11 +158,9 @@ def matching_condition(b1: "BuildingBlock", b2: "BuildingBlock") -> MatchCertifi
         (b.rank, b.l_bound, Signature(1, b.rank - 1)) for b in (b1, b2)
     )
     if not verdict.sufficient:
-        for rule in SPECIAL_EMBEDDING_RULES:
-            fired = rule(b1, b2)
-            if fired is not None:
-                verdict = EmbeddingVerdict(SUFFICIENT, fired)
-                break
+        fired = _mirror_pair_rule(b1, b2) or _large_rank_rank_one_rule(b1, b2)
+        if fired is not None:
+            verdict = EmbeddingVerdict(SUFFICIENT, fired)
     cond_b = max(b1.rank, b2.rank) <= 10
     if verdict.sufficient and cond_b:
         condition = BOTH
@@ -196,36 +172,3 @@ def matching_condition(b1: "BuildingBlock", b2: "BuildingBlock") -> MatchCertifi
         condition = NONE
     return MatchCertificate(condition=condition, verdict_a=verdict, rank_bound_b=cond_b)
 
-
-def find_isotropic_primitive(
-    lattice: IntLattice, bound: int
-) -> tuple[int, ...] | None:
-    """First primitive isotropic vector in the coordinate box, or None.
-
-    Scans each coordinate from +bound down to -bound in lexicographic
-    nesting and returns the first nonzero primitive vector of square zero
-    — i.e. the lexicographically greatest witness in the box.  Returns
-    ``None`` (alias NOT_FOUND_WITHIN_BOUND) when the box holds no witness;
-    definite lattices are rejected since they can never hold one.
-    """
-    if bound < 1:
-        raise LatticeError("search bound must be a positive integer")
-    sig = lattice.signature()
-    if sig.t_plus == 0 or sig.t_minus == 0:
-        raise LatticeError("isotropic search requires an indefinite lattice")
-    gram = lattice.gram
-    n = lattice.rank
-    for vec in product(range(bound, -bound - 1, -1), repeat=n):
-        if all(x == 0 for x in vec):
-            continue
-        if gcd(*vec) != 1:
-            continue
-        total = 0
-        for i in range(n):
-            xi = vec[i]
-            if xi:
-                row = gram[i]
-                total += xi * sum(row[j] * vec[j] for j in range(n))
-        if total == 0:
-            return vec
-    return NOT_FOUND_WITHIN_BOUND

@@ -33,10 +33,7 @@ b2 = d1 + d2 and b3 = e1 + e2 + 23 for the block shares (d, e): Fano
 certificate must carry condition A.  Both identities are enforced by
 explicit checks that raise ``IdentityError`` in every build, ``python -O``
 included; the identities are structural, so a failure means a
-transcription bug.  ``GENERIC`` mode (user-supplied n > 0) is available via
-``generic_record`` but never enumerated automatically: realizing a
-positive-dimensional matching requires choices the closed forms do not
-determine.
+transcription bug.
 """
 
 from __future__ import annotations
@@ -69,8 +66,6 @@ EMB_C = "EMB_C"
 MIRROR = "MIRROR"
 SEQ = "SEQ"
 LARGE_RANK = "LARGE_RANK"
-GENERIC = "GENERIC"
-MODES: Final = (EMB_A, EMB_B, EMB_C, MIRROR, SEQ, LARGE_RANK, GENERIC)
 
 UNVERIFIED = "UNVERIFIED"
 
@@ -235,21 +230,6 @@ def enumerate_seq(fano: FanoCatalog, nikulin: NikulinCatalog) -> list[G2Record]:
 def enumerate_large_rank(fano: FanoCatalog, nikulin: NikulinCatalog) -> list[G2Record]:
     """(18,0,0) and (17,1,1) against every rank-1 block: 38 over the complete catalogs."""
     return _enumerate(LARGE_RANK, fano, nikulin)
-
-
-def generic_record(block1: BuildingBlock, block2: BuildingBlock, n: int) -> G2Record:
-    """A user-specified matching of dimension n (no closed form checked)."""
-    cert = matching_condition(block1, block2)
-    glue = glue_betti(block1, block2, n)
-    return G2Record(
-        b2=glue.b2,
-        b3=glue.b3,
-        mode=GENERIC,
-        n=n,
-        certificate=cert,
-        blocks=(block1, block2),
-        flags=glue.flags,
-    )
 
 
 def distinct_betti(records: Iterable[G2Record]) -> tuple[tuple[int, int], ...]:

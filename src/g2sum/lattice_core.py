@@ -14,7 +14,7 @@ Conventions
 * ``E8_NEG`` is the negative definite even unimodular rank-8 lattice,
   i.e. minus the E8 Cartan matrix (Dynkin tree with arms 1, 2, 4 from the
   trivalent node).
-* ``RANK1(k)`` is the rank-one lattice spanned by a vector of square ``k``
+* ``RANK1`` is the rank-one lattice spanned by a vector of square ``k``
   (``k`` even and nonzero, so the lattice is even).
 * ``K3`` is ``2*E8_NEG + 3*H``: rank 22, signature (3, 19).
 
@@ -88,8 +88,7 @@ class DiscriminantInfo(NamedTuple):
     """Shape of the discriminant group, with the parity invariant.
 
     ``delta`` is 0 or 1 for 2-elementary lattices and ``None`` (meaning
-    "undefined") otherwise; use :func:`delta_invariant` for a strict
-    accessor that raises instead.
+    "undefined") otherwise.
     """
 
     invariant_factors: tuple[int, ...]
@@ -356,18 +355,6 @@ class IntLattice(Frozen, ignore=("_smith",)):
         return 0
 
 
-def delta_invariant(lattice: IntLattice) -> int:
-    """Strict accessor for delta; raises unless the lattice is 2-elementary."""
-    info = lattice.discriminant()
-    delta = info.delta
-    if delta is None:
-        raise LatticeError(
-            "delta is defined only for 2-elementary discriminant groups "
-            f"(invariant factors {info.invariant_factors})"
-        )
-    return delta
-
-
 def direct_sum(first: IntLattice, *rest: IntLattice) -> IntLattice:
     """Block-diagonal sum; rank adds, determinant multiplies, signature adds."""
     parts = (first, *rest)
@@ -380,11 +367,6 @@ def direct_sum(first: IntLattice, *rest: IntLattice) -> IntLattice:
                 rows[offset + i][offset + j] = part.gram[i][j]
         offset += part.rank
     return IntLattice(rows)
-
-
-def rescale(lattice: IntLattice, k: int) -> IntLattice:
-    """Module-level alias of :meth:`IntLattice.rescale`."""
-    return lattice.rescale(k)
 
 
 def _tree_gram(arms: tuple[int, ...]) -> list[list[int]]:
@@ -424,19 +406,10 @@ def _root_lattice(name: str) -> IntLattice:
     raise LatticeError(f"unknown root lattice {name!r}")
 
 
-_RANK1_NAME = re.compile(r"RANK1\((-?\d+)\)")
-
-
 def standard_lattice(name: str, k: int | None = None) -> IntLattice:
     """Named lattices used throughout: E8_NEG, H, K3, TWO_E8_TWO_H,
-    L_18_0_0, L_17_1_1, and RANK1(k) for even nonzero k.
-
-    ``RANK1`` takes the parameter either inline (``"RANK1(2)"``) or via
-    ``k``.
+    L_18_0_0, L_17_1_1, and RANK1 with its square ``k`` even and nonzero.
     """
-    m = _RANK1_NAME.fullmatch(name)
-    if m:
-        name, k = "RANK1", int(m.group(1))
     if name == "RANK1":
         if k is None:
             raise LatticeError("RANK1 requires a square k")

@@ -6,7 +6,7 @@ enumeration is deterministic, so tests may share them freely.
 
 import pytest
 
-from g2sum.catalog import load_fano, load_nikulin
+from g2sum.catalog import FanoCatalog, load_fano, load_nikulin
 from g2sum.enumerator import enumerate_emb
 
 
@@ -23,7 +23,15 @@ def fano():
 @pytest.fixture(scope="session")
 def fano_104(fano):
     """The Fano catalog without the family added in the 2003 erratum."""
-    return fano.without("4.13")
+    families = tuple(f for f in fano if f.id != "4.13")
+    assert len(families) == 104
+    return FanoCatalog(families, fano.complete_rank_1)
+
+
+@pytest.fixture(scope="session")
+def fano_rank_one(fano):
+    """The Fano families with b2 = 1."""
+    return tuple(f for f in fano if f.b2 == 1)
 
 
 @pytest.fixture(scope="session")

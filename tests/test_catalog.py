@@ -52,12 +52,11 @@ def test_packaged_nikulin_counts_by_rank(nikulin):
     assert sum(by_r) == 75
 
 
-def test_packaged_fano_catalog(fano):
+def test_packaged_fano_catalog(fano, fano_rank_one):
     assert len(fano.families) == 105
     assert fano.complete_rank_1
-    rank1 = fano.rank_one()
-    assert len(rank1) == 17
-    assert all(f.b2 == 1 for f in rank1)
+    assert len(fano_rank_one) == 17
+    assert all(f.b2 == 1 for f in fano_rank_one)
     ids = [f.id for f in fano.families]
     assert len(set(ids)) == 105
     p3 = next(f for f in fano.families if f.id == "P3")
@@ -69,15 +68,6 @@ def test_fano_genus_attribute(fano):
     for f in fano.families:
         assert f.g == f.b3 + f.minus_k3
         assert f.g % 2 == 0
-
-
-def test_fano_without(fano):
-    trimmed = fano.without("4.13")
-    assert len(trimmed.families) == 104
-    assert all(f.id != "4.13" for f in trimmed.families)
-    assert trimmed.complete_rank_1  # no rank-1 row was dropped
-    with pytest.raises(CatalogError, match="unknown"):
-        fano.without("nope")
 
 
 def test_joyce_absent_by_default():

@@ -134,6 +134,33 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     assert f"{bad}:2: r - a must be even" in err
 
 
+def test_non_utf8_catalog_is_a_validation_failure(tmp_path, capsys):
+    bad = tmp_path / "nik.csv"
+    bad.write_bytes(b"r,a,delta,source\n2,0,0,U\xff\n")
+    code, out, err = run_cli(capsys, "validate", "--nikulin", str(bad))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith(f"g2sum: {bad}: catalog is not UTF-8 text")
+
+
+def test_incomplete_catalog_with_an_unpaired_6_6_0_row_keeps_the_mirror_list(tmp_path, capsys):
+    # (6,6,0) has the shape of the mirror partner of the excluded (14,6,0)
+    # class; the pair must be left out, as the packaged catalog leaves it out.
+    import g2sum.catalog
+
+    packaged = (g2sum.catalog.default_data_dir() / "nikulin.csv").read_text()
+    rows = [line for line in packaged.splitlines() if line.strip() != "#complete"]
+    assert len(rows) < len(packaged.splitlines())
+    user = tmp_path / "nik.csv"
+    user.write_text("\n".join(rows + ["6,6,0,6*<-2>"]) + "\n")
+    code, expected, _ = run_cli(capsys, "betti-list", "mirror")
+    assert code == EXIT_OK
+    code, out, err = run_cli(capsys, "betti-list", "mirror", "--nikulin", str(user))
+    assert code == EXIT_OK, err
+    assert err.startswith("# data: nikulin 76 rows (INCOMPLETE)")
+    assert out == expected
+
+
 def test_missing_catalog_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate", "--nikulin", str(tmp_path / "gone.csv"))
     assert code == EXIT_IO

@@ -1,4 +1,4 @@
-"""Embedding sufficiency, matching certificates, isotropic search."""
+"""Embedding sufficiency and matching certificates."""
 
 import subprocess
 import sys
@@ -6,28 +6,20 @@ import sys
 import pytest
 
 from g2sum.building_blocks import BuildingBlock, fano_block, involution_block
-from g2sum.catalog import mirror_pairs
+from g2sum.catalog import NikulinTriple, mirror_pairs
 from g2sum.embedding import (
     BOTH,
     COND_A,
     COND_B,
     INCONCLUSIVE,
     NONE,
-    NOT_FOUND_WITHIN_BOUND,
     SUFFICIENT,
     SUFFICIENT_UNIQUE,
     embeds_in_2e8_2h,
-    find_isotropic_primitive,
     matching_condition,
     nikulin_sufficient,
 )
-from g2sum.lattice_core import (
-    LatticeError,
-    Signature,
-    direct_sum,
-    parse_lattice_expr,
-    standard_lattice,
-)
+from g2sum.lattice_core import LatticeError, Signature
 import g2sum.embedding as embedding_mod
 
 E_GLUE = Signature(2, 18)  # 2*E8_NEG + 2*H
@@ -112,9 +104,9 @@ def _blocks(nikulin, *keys):
     return [involution_block(nikulin.find(*k)) for k in keys]
 
 
-def test_large_rank_times_rank_one_fano(nikulin, fano):
+def test_large_rank_times_rank_one_fano(nikulin, fano_rank_one):
     b18 = involution_block(nikulin.find(18, 0, 0))
-    for fam in fano.rank_one():
+    for fam in fano_rank_one:
         cert = matching_condition(b18, fano_block(fam))
         assert cert.condition == COND_A
         assert cert.verdict_a.rule == "large-rank-rank-one"
@@ -178,39 +170,44 @@ def test_fixed_point_free_block_rejected():
         matching_condition(ghost, ghost)
 
 
-def test_isotropic_in_hyperbolic_plane():
-    v = find_isotropic_primitive(standard_lattice("H"), 1)
-    assert v == (1, 0)
+
+def _old_mirror_pair_rule(b1, b2):
+    """The mirror rule as it stood with its own exclusions, kept as an oracle."""
+    t1, t2 = b1.triple, b2.triple
+    if t1 is None or t2 is None:
+        return None
+    for first, second in ((t1, t2), (t2, t1)):
+        if (
+            second.r == 20 - first.r
+            and second.a == first.a
+            and second.delta == first.delta
+            and first.r + first.a != 22
+            and (first.r, first.a, first.delta) != (14, 6, 0)
+            and (second.r, second.a, second.delta) != (14, 6, 0)
+        ):
+            return "mirror-pair"
+    return None
 
 
-def test_isotropic_in_split_rank_two():
-    lat = direct_sum(standard_lattice("RANK1", 2), standard_lattice("RANK1", -2))
-    assert find_isotropic_primitive(lat, 1) == (1, 1)
-
-
-def test_isotropic_absent_for_incommensurate_squares():
-    lat = direct_sum(standard_lattice("RANK1", 2), standard_lattice("RANK1", -4))
-    for bound in (1, 3, 7):
-        assert find_isotropic_primitive(lat, bound) is NOT_FOUND_WITHIN_BOUND
-
-
-def test_isotropic_witness_checks():
-    lat = parse_lattice_expr("U + <-2>")
-    v = find_isotropic_primitive(lat, 2)
-    assert v is not None
-    gram = lat.gram
-    square = sum(v[i] * gram[i][j] * v[j] for i in range(3) for j in range(3))
-    assert square == 0
-    from math import gcd
-
-    assert gcd(*v) == 1
-    assert all(abs(x) <= 2 for x in v)
-
-
-def test_isotropic_rejects_definite_and_bad_bound():
-    with pytest.raises(LatticeError, match="indefinite"):
-        find_isotropic_primitive(parse_lattice_expr("A1"), 3)
-    with pytest.raises(LatticeError, match="indefinite"):
-        find_isotropic_primitive(standard_lattice("E8_NEG"), 2)
-    with pytest.raises(LatticeError, match="positive"):
-        find_isotropic_primitive(standard_lattice("H"), 0)
+def test_mirror_rule_matches_its_former_exclusions_on_every_loadable_shape(fano):
+    # Every (r, a, delta) that load_nikulin accepts, but the fixed-point-free
+    # (10,10,0), which matching_condition rejects before any rule runs.
+    shapes = [
+        NikulinTriple(r, a, delta)
+        for r in range(1, 21)
+        for a in range(0, min(r, 11) + 1)
+        for delta in (0, 1)
+        if (r - a) % 2 == 0
+    ]
+    assert len(shapes) == 190
+    blocks = [involution_block(t) for t in shapes if t.key != (10, 10, 0)]
+    blocks.append(fano_block(fano[0]))
+    fired = 0
+    for b1 in blocks:
+        for b2 in blocks:
+            expected = _old_mirror_pair_rule(b1, b2)
+            assert embedding_mod._mirror_pair_rule(b1, b2) == expected, (b1.label, b2.label)
+            fired += expected is not None
+    # 58 shapes with r <= 9, (6,6,0) without a partner: 57 pairs both ways;
+    # 11 rank-10 shapes each paired with itself
+    assert fired == 2 * 57 + 11

@@ -20,6 +20,7 @@ from g2sum.enumerator import (
     MIRROR,
     SEQ,
     UNVERIFIED,
+    G2Record,
     GlueResult,
     compare_joyce,
     count_matched_pairs,
@@ -28,7 +29,6 @@ from g2sum.enumerator import (
     enumerate_large_rank,
     enumerate_mirror,
     enumerate_seq,
-    generic_record,
     glue_betti,
 )
 from g2sum.embedding import matching_condition
@@ -50,6 +50,13 @@ SEQ_BETTI = {
 
 LARGE_RANK_B18 = [73, 75, 77, 81, 85, 87, 91, 97, 101, 105, 115, 157]
 LARGE_RANK_B20 = [75, 77, 79, 83, 87, 89, 91, 93, 99, 103, 107, 117, 159]
+
+
+def _record(block1, block2):
+    """The record of the n = 0 gluing of two blocks, built as the enumerator builds one."""
+    glue = glue_betti(block1, block2)
+    certificate = matching_condition(block1, block2)
+    return G2Record(glue.b2, glue.b3, "GLUED", 0, certificate, (block1, block2), glue.flags)
 
 
 def by_b2(pairs):
@@ -94,16 +101,6 @@ def test_glue_rank_condition_violation(nikulin):
     assert UNVERIFIED in glue.flags
 
 
-def test_generic_record_carries_flags(nikulin):
-    b18 = involution_block(nikulin.find(18, 0, 0))
-    rec = generic_record(b18, b18, 0)
-    assert rec.betti == (40, 79)
-    assert UNVERIFIED in rec.flags
-    assert not rec.verified
-    ok = generic_record(involution_block(nikulin.find(2, 0, 0)), b18, 0)
-    assert ok.verified and ok.flags == ()
-
-
 def test_record_api(nikulin, emb_records):
     b18 = involution_block(nikulin.find(18, 0, 0))
     b200 = involution_block(nikulin.find(2, 0, 0))
@@ -113,22 +110,28 @@ def test_record_api(nikulin, emb_records):
     assert glue.betti == (40, 79) and glue.flags == (UNVERIFIED,)
     assert GlueResult(2, 5, True).flags == ()
 
-    rec = generic_record(b18, b200, 0)
-    assert (rec.b2, rec.mode, rec.n, rec.blocks) == (24, "GENERIC", 0, (b18, b200))
+    rec = _record(b18, b200)
+    assert (rec.b2, rec.mode, rec.n, rec.blocks) == (24, "GLUED", 0, (b18, b200))
     assert rec.betti == (24, 95) and rec.flags == () and rec.verified
+    flagged = _record(b18, b18)
+    assert flagged.betti == (40, 79)
+    assert UNVERIFIED in flagged.flags
+    assert not flagged.verified
+    ok = _record(b200, b18)
+    assert ok.verified and ok.flags == ()
     assert rec.simply_connected is True
     fundamental_group = BuildingBlock(
         b200.kind, b200.label, b200.b2_bar, b200.b3_bar, b200.d, b200.rank, b200.l_bound,
         simply_connected=False, triple=b200.triple,
     )
-    assert generic_record(b18, fundamental_group, 0).simply_connected is False
+    assert _record(b18, fundamental_group).simply_connected is False
 
     for obj, name in ((glue, "b3"), (glue, "rank_condition_ok"), (rec, "b2"), (rec, "flags")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
-    again = generic_record(b18, b200, 0)
+    again = _record(b18, b200)
     assert rec == again and hash(rec) == hash(again)
-    assert len({rec, again, generic_record(b200, b18, 0)}) == 2
+    assert len({rec, again, _record(b200, b18)}) == 2
     assert len({glue, GlueResult(40, 79, False)}) == 1
     assert len(set(emb_records)) == 8211
 
@@ -395,8 +398,8 @@ def test_compare_joyce_counts_violations_per_record(fano):
     families = {f.id: f for f in fano.families}
     p3 = fano_block(families["P3"])
     q3 = fano_block(families["Q3"])
-    good = generic_record(p3, p3, 0)  # (0, 155): sum 155 = 3 mod 4
-    bad = generic_record(p3, q3, 0)  # sum 145 = 1 mod 4
+    good = _record(p3, p3)  # (0, 155): sum 155 = 3 mod 4
+    bad = _record(p3, q3)  # sum 145 = 1 mod 4
     assert (bad.b2 + bad.b3) % 4 == 1
     records = [good, bad, bad]
     joyce = JoyceCatalog(pairs=(good.betti,), complete=False)

@@ -9,10 +9,8 @@ from g2sum.lattice_core import (
     IntLattice,
     LatticeError,
     Signature,
-    delta_invariant,
     direct_sum,
     parse_lattice_expr,
-    rescale,
     standard_lattice,
 )
 
@@ -82,7 +80,7 @@ def test_hyperbolic_plane():
     # zero diagonal exercises the congruence repair in the signature routine
     assert h.signature() == Signature(1, 1)
     assert h.discriminant().order == 1
-    assert delta_invariant(h) == 0
+    assert h.discriminant().delta == 0
 
 
 def test_e8_negative_definite():
@@ -91,7 +89,7 @@ def test_e8_negative_definite():
     assert e8.determinant() == 1
     assert e8.signature() == Signature(0, 8)
     assert e8.is_even()
-    assert delta_invariant(e8) == 0
+    assert e8.discriminant().delta == 0
 
 
 def test_k3_lattice():
@@ -152,7 +150,7 @@ def test_smith_normal_form_a2():
 
 
 def test_smith_normal_form_twisted_plane():
-    u2 = rescale(standard_lattice("H"), 2)
+    u2 = standard_lattice("H").rescale(2)
     snf = u2.smith_normal_form()
     assert [snf.S[i][i] for i in range(2)] == [2, 2]
     d = u2.discriminant()
@@ -177,8 +175,7 @@ def test_degenerate_gram_errors():
 
 
 def test_delta_needs_2_elementary():
-    with pytest.raises(LatticeError, match="2-elementary"):
-        delta_invariant(A2)
+    assert A2.discriminant().delta is None
 
 
 def test_odd_gram_not_even():
@@ -186,11 +183,11 @@ def test_odd_gram_not_even():
 
 
 def test_rescale():
-    assert rescale(standard_lattice("H"), 2).gram == ((0, 2), (2, 0))
-    assert rescale(standard_lattice("E8_NEG"), -1).signature() == Signature(8, 0)
-    assert rescale(A2, 3).determinant() == 3**2 * 3
+    assert standard_lattice("H").rescale(2).gram == ((0, 2), (2, 0))
+    assert standard_lattice("E8_NEG").rescale(-1).signature() == Signature(8, 0)
+    assert A2.rescale(3).determinant() == 3**2 * 3
     with pytest.raises(LatticeError, match="nonzero"):
-        rescale(A2, 0)
+        A2.rescale(0)
 
 
 def test_direct_sum():

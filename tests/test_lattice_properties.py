@@ -21,10 +21,8 @@ from g2sum.lattice_core import (
     IntLattice,
     LatticeError,
     Signature,
-    delta_invariant,
     direct_sum,
     parse_lattice_expr,
-    rescale,
     standard_lattice,
 )
 
@@ -145,8 +143,8 @@ def test_snf_battery_500():
 
 
 def test_delta_of_named_lattices():
-    assert delta_invariant(standard_lattice("L_18_0_0")) == 0
-    assert delta_invariant(standard_lattice("L_17_1_1")) == 1
+    assert standard_lattice("L_18_0_0").discriminant().delta == 0
+    assert standard_lattice("L_17_1_1").discriminant().delta == 1
 
 
 # --- hypothesis exploration ------------------------------------------------
@@ -193,7 +191,7 @@ def test_direct_sum_multiplicativity(g1, g2):
 @settings(max_examples=60)
 def test_rescale_determinant(gram, k):
     lat = IntLattice(gram)
-    assert rescale(lat, k).determinant() == k**lat.rank * lat.determinant()
+    assert lat.rescale(k).determinant() == k**lat.rank * lat.determinant()
 
 
 @given(even_grams)
@@ -204,7 +202,7 @@ def test_signature_counts_rank(gram):
         return
     sig = lat.signature()
     assert sig.t_plus + sig.t_minus == lat.rank
-    assert rescale(lat, -1).signature() == Signature(sig.t_minus, sig.t_plus)
+    assert lat.rescale(-1).signature() == Signature(sig.t_minus, sig.t_plus)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -336,8 +334,6 @@ def test_delta_matches_subset_scan_on_direct_sums(terms):
         assert info.delta == delta_by_subsets(lat)
     else:
         assert info.delta is None
-        with pytest.raises(LatticeError):
-            delta_invariant(lat)
 
 
 def test_invariant_factors_match_sympy():
