@@ -101,6 +101,16 @@ def test_glue_rank_condition_violation(nikulin):
     assert UNVERIFIED in glue.flags
 
 
+def test_generic_record_carries_flags(nikulin):
+    b18 = involution_block(nikulin.find(18, 0, 0))
+    rec = _record(b18, b18)
+    assert rec.betti == (40, 79)
+    assert UNVERIFIED in rec.flags
+    assert not rec.verified
+    ok = _record(involution_block(nikulin.find(2, 0, 0)), b18)
+    assert ok.verified and ok.flags == ()
+
+
 def test_record_api(nikulin, emb_records):
     b18 = involution_block(nikulin.find(18, 0, 0))
     b200 = involution_block(nikulin.find(2, 0, 0))
@@ -113,12 +123,6 @@ def test_record_api(nikulin, emb_records):
     rec = _record(b18, b200)
     assert (rec.b2, rec.mode, rec.n, rec.blocks) == (24, "GLUED", 0, (b18, b200))
     assert rec.betti == (24, 95) and rec.flags == () and rec.verified
-    flagged = _record(b18, b18)
-    assert flagged.betti == (40, 79)
-    assert UNVERIFIED in flagged.flags
-    assert not flagged.verified
-    ok = _record(b200, b18)
-    assert ok.verified and ok.flags == ()
     assert rec.simply_connected is True
     fundamental_group = BuildingBlock(
         b200.kind, b200.label, b200.b2_bar, b200.b3_bar, b200.d, b200.rank, b200.l_bound,
