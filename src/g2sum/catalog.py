@@ -15,6 +15,12 @@ Three CSV catalogs drive the enumerations:
 
 Validation is strict: any malformed row rejects the whole file with a
 ``path:line`` diagnostic.  Loaded catalogs are immutable.
+
+The loaders own catalog I/O.  A file that cannot be read (missing, a
+directory, a failed read) raises ``OSError`` whose message names the
+path; bad content, including text that is not UTF-8, raises
+``CatalogError``.  ``load_joyce`` returns ``None`` only when no path is
+given and the default file is absent.
 """
 
 from __future__ import annotations
@@ -176,10 +182,13 @@ def _read_rows(
     header_seen = False
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CatalogError(f"{path}: cannot read catalog: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CatalogError(f"{path}: catalog is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        # A failed read (EIO, say) carries no path of its own; name it.
+        if exc.filename is None:
+            exc.filename = str(path)
+        raise
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -214,7 +223,8 @@ def _int_field(path: Path, lineno: int, name: str, value: str) -> int:
 def load_nikulin(path: str | Path | None = None) -> NikulinCatalog:
     """Load and strictly validate the invariant-lattice triple catalog.
 
-    Row rules: 1 <= r <= 20, 0 <= a <= 11, r - a >= 0 and even, delta in
+    Row rules: 1 <= r <= 20, 0 <= a <= 11, r - a >= 0 and even, r + a <= 22
+    (the fixed curve's genus (22 - r - a)/2 is nonnegative), delta in
     {0, 1}; duplicate (r, a, delta) rejected.  Under the ``#complete``
     pragma the row count must be exactly 75.
     """
@@ -237,6 +247,8 @@ def load_nikulin(path: str | Path | None = None) -> NikulinCatalog:
             raise CatalogError(f"{p}:{lineno}: r - a must be nonnegative, got r={r}, a={a}")
         if (r - a) % 2 != 0:
             raise CatalogError(f"{p}:{lineno}: r - a must be even, got r={r}, a={a}")
+        if r + a > 22:
+            raise CatalogError(f"{p}:{lineno}: r + a must be at most 22, got r={r}, a={a}")
         if delta not in (0, 1):
             raise CatalogError(f"{p}:{lineno}: delta must be 0 or 1, got {delta}")
         if (r, a, delta) in seen:
@@ -296,14 +308,18 @@ def load_fano(path: str | Path | None = None) -> FanoCatalog:
 
 
 def load_joyce(path: str | Path | None = None) -> JoyceCatalog | None:
-    """Load the optional comparison catalog; None when the file is absent.
+    """Load the optional comparison catalog.
 
-    Under ``#complete`` the set must have 252 rows, 239 of them satisfying
-    b2 + b3 = 3 (mod 4).
+    None only when no path is given and the default file is absent; a
+    given path that cannot be read raises ``OSError``.  Under ``#complete``
+    the set must have 252 rows, 239 of them satisfying b2 + b3 = 3 (mod 4).
     """
-    p = Path(path) if path is not None else default_data_dir() / JOYCE_FILENAME
-    if not p.exists():
-        return None
+    if path is not None:
+        p = Path(path)
+    else:
+        p = default_data_dir() / JOYCE_FILENAME
+        if not p.exists():
+            return None
     pragmas, rows = _read_rows(p, ("b2", "b3"))
     pairs: list[tuple[int, int]] = []
     for lineno, fields in rows:

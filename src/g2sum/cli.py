@@ -13,7 +13,8 @@ Subcommands:
                         closed-form-vs-gluing identity for all records.
 
 Data rows go to stdout, diagnostics to stderr.  Exit status: 0 success,
-1 validation/identity failure, 2 I/O failure.
+1 bad catalog data or an identity failure, 2 a catalog that cannot be
+read (``OSError``) or a usage error.
 """
 
 from __future__ import annotations
@@ -22,22 +23,22 @@ import argparse
 import csv
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import Sequence
 
-from .building_blocks import euler_crosscheck
+# The benchmark (perfbench/) reads the names marked below from this module:
+# spans.install_cli patches them, clirun.CLI_SETUP times catalog loading.
+from .building_blocks import euler_crosscheck  # patched by spans.install_cli
 from .catalog import (
-    FANO_FILENAME,
-    JOYCE_FILENAME,
-    NIKULIN_FILENAME,
+    FANO_FILENAME,  # read by clirun.CLI_SETUP
+    NIKULIN_FILENAME,  # read by clirun.CLI_SETUP
     CatalogError,
     FanoCatalog,
     JoyceCatalog,
     NikulinCatalog,
-    default_data_dir,
-    load_fano,
-    load_joyce,
-    load_nikulin,
+    default_data_dir,  # read by clirun.CLI_SETUP
+    load_fano,  # patched by spans.install_cli, called by clirun.CLI_SETUP
+    load_joyce,  # patched by spans.install_cli
+    load_nikulin,  # patched by spans.install_cli, called by clirun.CLI_SETUP
 )
 from .enumerator import (
     EMB_A,
@@ -45,13 +46,13 @@ from .enumerator import (
     EMB_C,
     G2Record,
     IdentityError,
-    compare_joyce,
-    count_matched_pairs,
-    distinct_betti,
-    enumerate_emb,
-    enumerate_large_rank,
-    enumerate_mirror,
-    enumerate_seq,
+    compare_joyce,  # patched by spans.install_cli
+    count_matched_pairs,  # patched by spans.install_cli
+    distinct_betti,  # patched by spans.install_cli
+    enumerate_emb,  # patched by spans.install_cli
+    enumerate_large_rank,  # patched by spans.install_cli
+    enumerate_mirror,  # patched by spans.install_cli
+    enumerate_seq,  # patched by spans.install_cli
 )
 
 EXIT_OK = 0
@@ -59,10 +60,6 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 _MODE_CHOICES = ("emb", "emb_a", "emb_b", "emb_c", "mirror", "seq", "large_rank")
-
-
-class _IOFailure(Exception):
-    pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,33 +98,6 @@ def _normalize_mode(raw: str) -> str:
             f"unknown mode {raw!r} (choose from {', '.join(_MODE_CHOICES)})"
         )
     return mode
-
-
-def _resolve(explicit: str | None, filename: str) -> Path:
-    if explicit:
-        return Path(explicit)
-    return default_data_dir() / filename
-
-
-def _load_catalogs(
-    args: argparse.Namespace,
-) -> tuple[NikulinCatalog, FanoCatalog, JoyceCatalog | None]:
-    nik_path = _resolve(args.nikulin, NIKULIN_FILENAME)
-    fan_path = _resolve(args.fano, FANO_FILENAME)
-    if not nik_path.is_file():
-        raise _IOFailure(f"catalog not found: {nik_path}")
-    if not fan_path.is_file():
-        raise _IOFailure(f"catalog not found: {fan_path}")
-    nikulin = load_nikulin(nik_path)
-    fano = load_fano(fan_path)
-    if args.joyce:
-        joyce_path = Path(args.joyce)
-        if not joyce_path.is_file():
-            raise _IOFailure(f"catalog not found: {joyce_path}")
-        joyce = load_joyce(joyce_path)
-    else:
-        joyce = load_joyce(default_data_dir() / JOYCE_FILENAME)
-    return nikulin, fano, joyce
 
 
 def _banner(
@@ -276,7 +246,10 @@ def _cmd_validate(
 
 
 def _cmd_enumerate(
-    args: argparse.Namespace, nikulin: NikulinCatalog, fano: FanoCatalog
+    args: argparse.Namespace,
+    nikulin: NikulinCatalog,
+    fano: FanoCatalog,
+    joyce: JoyceCatalog | None,
 ) -> int:
     records = _mode_records(args.mode, nikulin, fano)
     fields = (
@@ -295,7 +268,10 @@ def _cmd_enumerate(
 
 
 def _cmd_betti_list(
-    args: argparse.Namespace, nikulin: NikulinCatalog, fano: FanoCatalog
+    args: argparse.Namespace,
+    nikulin: NikulinCatalog,
+    fano: FanoCatalog,
+    joyce: JoyceCatalog | None,
 ) -> int:
     records = _mode_records(args.mode, nikulin, fano)
     _write_rows(distinct_betti(records), ("b2", "b3"), args.format)
@@ -303,7 +279,10 @@ def _cmd_betti_list(
 
 
 def _cmd_table1(
-    args: argparse.Namespace, nikulin: NikulinCatalog, fano: FanoCatalog
+    args: argparse.Namespace,
+    nikulin: NikulinCatalog,
+    fano: FanoCatalog,
+    joyce: JoyceCatalog | None,
 ) -> int:
     records = enumerate_emb(fano, nikulin)
     rows = []
@@ -381,35 +360,34 @@ def _cmd_crosscheck(
     return EXIT_VALIDATION if failures else EXIT_OK
 
 
+_COMMANDS = {
+    "validate": _cmd_validate,
+    "enumerate": _cmd_enumerate,
+    "betti-list": _cmd_betti_list,
+    "table1": _cmd_table1,
+    "crosscheck": _cmd_crosscheck,
+}
+
+
+# worker.py calls main, clirun.py runs this module; spans.install_cli patches main.
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        nikulin, fano, joyce = _load_catalogs(args)
-    except _IOFailure as exc:
-        print(f"g2sum: {exc}", file=sys.stderr)
-        return EXIT_IO
+        nikulin = load_nikulin(args.nikulin)
+        fano = load_fano(args.fano)
+        joyce = load_joyce(args.joyce)
     except OSError as exc:
-        print(f"g2sum: {exc}", file=sys.stderr)
+        print(f"g2sum: cannot read catalog: {exc}", file=sys.stderr)
         return EXIT_IO
     except CatalogError as exc:
         print(f"g2sum: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     _banner(nikulin, fano, joyce)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args, nikulin, fano, joyce)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, nikulin, fano)
-        if args.command == "betti-list":
-            return _cmd_betti_list(args, nikulin, fano)
-        if args.command == "table1":
-            return _cmd_table1(args, nikulin, fano)
-        if args.command == "crosscheck":
-            return _cmd_crosscheck(args, nikulin, fano, joyce)
+        return _COMMANDS[args.command](args, nikulin, fano, joyce)
     except (CatalogError, IdentityError) as exc:
         print(f"g2sum: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -219,13 +219,10 @@ class IntLattice(Frozen, ignore=("_smith",)):
     def smith_normal_form(self) -> SmithDecomposition:
         """Smith normal form over the integers with transforms tracked.
 
-        The lattice is immutable, so the decomposition is computed once per
-        instance and every call returns that same object.
+        The lattice is immutable, so the decomposition is computed on first
+        use, kept in the ``_smith`` slot, and every call returns that same
+        object.
         """
-        return self._smith_form()
-
-    def _smith_form(self) -> SmithDecomposition:
-        """The one decomposition, computed on first use and kept in a slot."""
         snf = self._smith
         if snf is None:
             snf = self._smith_decomposition()
@@ -317,7 +314,7 @@ class IntLattice(Frozen, ignore=("_smith",)):
         """
         if not self.is_even():
             raise LatticeError("discriminant data is defined here for even lattices only")
-        snf = self._smith_form()
+        snf = self.smith_normal_form()
         diag = snf.diagonal
         if any(s == 0 for s in diag):
             raise LatticeError("degenerate Gram matrix has no discriminant group")

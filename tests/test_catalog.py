@@ -92,6 +92,7 @@ def test_data_dir_env_override(tmp_path, monkeypatch):
         ("21,1,1,x", "r must be in 1..20, got 21"),
         ("12,12,1,x", "a must be in 0..11, got 12"),
         ("2,4,0,x", "r - a must be nonnegative"),
+        ("19,11,1,x", "r + a must be at most 22, got r=19, a=11"),
         ("2,0,2,x", "delta must be 0 or 1, got 2"),
         ("2,0,0", "expected 4 fields, got 3"),
         ("x,0,0,s", "field 'r' must be an integer"),
@@ -130,8 +131,12 @@ def test_comments_and_blank_lines_skipped(tmp_path):
 
 
 def test_missing_file_is_catalog_error(tmp_path):
-    with pytest.raises(CatalogError, match="cannot read catalog"):
-        load_nikulin(tmp_path / "no_such.csv")
+    # A file that cannot be read is an I/O failure, not bad catalog data.
+    missing = tmp_path / "no_such.csv"
+    with pytest.raises(FileNotFoundError) as exc:
+        load_nikulin(missing)
+    assert not isinstance(exc.value, CatalogError)
+    assert str(missing) in str(exc.value)
 
 
 @pytest.mark.parametrize(
@@ -159,6 +164,13 @@ def test_fano_rank1_pragma(tmp_path):
     p = write(tmp_path, "#complete-rank-1\n" + FANO_HEADER + "A,1,0,64,x\n")
     with pytest.raises(CatalogError, match="expected 17"):
         load_fano(p)
+
+
+def test_joyce_is_none_only_for_the_absent_default(tmp_path, monkeypatch):
+    with pytest.raises(FileNotFoundError, match="absent.csv"):
+        load_joyce(tmp_path / "absent.csv")
+    monkeypatch.setenv("G2SUM_DATA_DIR", str(tmp_path))
+    assert load_joyce() is None
 
 
 def test_joyce_loads_when_given(tmp_path):

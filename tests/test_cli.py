@@ -1,8 +1,11 @@
 """Command-line behavior: subcommands, formats, exit codes, streams."""
 
 import csv
+import errno
 import io
 import json
+import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -170,6 +173,32 @@ def test_missing_catalog_exit_code(tmp_path, capsys):
 def test_missing_explicit_joyce_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "crosscheck", "--joyce", str(tmp_path / "joyce.csv"))
     assert code == EXIT_IO
+
+
+@pytest.mark.parametrize("flag", ["--nikulin", "--fano", "--joyce"])
+def test_failed_catalog_read_is_io_error(tmp_path, capsys, monkeypatch, flag):
+    target = tmp_path / "catalog.csv"
+    target.write_text("unread\n")
+    read_text = pathlib.Path.read_text
+
+    def failing_read(self, *args, **kwargs):
+        if self == target:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "read_text", failing_read)
+    code, out, err = run_cli(capsys, "validate", flag, str(target))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.startswith("g2sum: cannot read catalog: ")
+    assert str(target) in err
+
+
+def test_directory_as_catalog_is_io_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "validate", "--fano", str(tmp_path))
+    assert code == EXIT_IO
+    assert out == ""
+    assert str(tmp_path) in err
 
 
 def test_joyce_comparison_when_supplied(tmp_path, capsys):
