@@ -13,8 +13,11 @@ Three CSV catalogs drive the enumerations:
   earlier construction; pragma ``#complete`` asserts the full 252-row set
   (239 of which satisfy b2+b3 = 3 mod 4).
 
-Validation is strict: any malformed row rejects the whole file with a
-``path:line`` diagnostic.  Loaded catalogs are immutable.
+Rows are read by one reader, which checks the field count against the
+header and parses every column except ``id`` and ``source`` as an
+integer; each loader then checks its own row rules.  Validation is
+strict: any malformed row rejects the whole file with a ``path:line``
+diagnostic.  Loaded catalogs are immutable.
 
 The loaders own catalog I/O.  A file that cannot be read (missing, a
 directory, a failed read) raises ``OSError`` whose message names the
@@ -107,20 +110,27 @@ class FixedLocus(NamedTuple):
         return (2 - 2 * self.genus) + 2 * self.rational_curves
 
 
-class NikulinCatalog(Frozen, Sequence):
+class _Rows(Sequence):
+    """``Sequence`` over the row tuple in a catalog's first slot.  Not a ``Frozen``:
+    that base builds an equality key from each subclass's slots, and this has none."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator:
+        return iter(getattr(self, self.__slots__[0]))
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __getitem__(self, i):  # type: ignore[override]
+        return getattr(self, self.__slots__[0])[i]
+
+
+class NikulinCatalog(Frozen, _Rows):
     __slots__ = ("triples", "complete")
 
     def __init__(self, triples: tuple[NikulinTriple, ...], complete: bool) -> None:
         self._fill(triples, complete)
-
-    def __iter__(self) -> Iterator[NikulinTriple]:
-        return iter(self.triples)
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def __getitem__(self, i):  # type: ignore[override]
-        return self.triples[i]
 
     def find(self, r: int, a: int, delta: int) -> NikulinTriple | None:
         for t in self.triples:
@@ -129,36 +139,18 @@ class NikulinCatalog(Frozen, Sequence):
         return None
 
 
-class FanoCatalog(Frozen, Sequence):
+class FanoCatalog(Frozen, _Rows):
     __slots__ = ("families", "complete_rank_1")
 
     def __init__(self, families: tuple[FanoFamily, ...], complete_rank_1: bool) -> None:
         self._fill(families, complete_rank_1)
 
-    def __iter__(self) -> Iterator[FanoFamily]:
-        return iter(self.families)
 
-    def __len__(self) -> int:
-        return len(self.families)
-
-    def __getitem__(self, i):  # type: ignore[override]
-        return self.families[i]
-
-
-class JoyceCatalog(Frozen, Sequence):
+class JoyceCatalog(Frozen, _Rows):
     __slots__ = ("pairs", "complete")
 
     def __init__(self, pairs: tuple[tuple[int, int], ...], complete: bool) -> None:
         self._fill(pairs, complete)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __getitem__(self, i):  # type: ignore[override]
-        return self.pairs[i]
 
 
 def default_data_dir() -> Path:
@@ -170,16 +162,18 @@ def default_data_dir() -> Path:
 
 
 def _read_rows(
-    path: Path, expected_header: Sequence[str]
-) -> tuple[set[str], list[tuple[int, list[str]]]]:
-    """Parse a catalog file into (pragmas, [(lineno, fields), ...]).
+    path: Path, header: tuple[str, ...]
+) -> tuple[set[str], Iterator[tuple[int, tuple]]]:
+    """Parse a catalog file into (pragmas, rows).
 
     Lines starting with ``#`` are comments; those spelling out a known
     pragma are collected.  The first data line must be the exact header.
+    ``rows`` yields ``(lineno, values)`` per data line, typed by
+    ``_typed_row`` as it is drawn, so the first fault in file order is the
+    one reported.
     """
     pragmas: set[str] = set()
-    rows: list[tuple[int, list[str]]] = []
-    header_seen = False
+    lines: list[tuple[int, str]] = []
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -198,26 +192,35 @@ def _read_rows(
             if pragma in ("complete", "complete-rank-1"):
                 pragmas.add(pragma)
             continue
-        fields = next(csv.reader([line]))
-        if not header_seen:
-            if [f.strip() for f in fields] != list(expected_header):
-                raise CatalogError(
-                    f"{path}:{lineno}: expected header {','.join(expected_header)!r}, "
-                    f"got {line!r}"
-                )
-            header_seen = True
-            continue
-        rows.append((lineno, fields))
-    if not header_seen:
+        lines.append((lineno, line))
+    if not lines:
         raise CatalogError(f"{path}: missing header line")
-    return pragmas, rows
+    lineno, line = lines[0]
+    if [f.strip() for f in next(csv.reader([line]))] != list(header):
+        raise CatalogError(
+            f"{path}:{lineno}: expected header {','.join(header)!r}, got {line!r}"
+        )
+    return pragmas, ((n, _typed_row(path, n, line, header)) for n, line in lines[1:])
 
 
-def _int_field(path: Path, lineno: int, name: str, value: str) -> int:
-    try:
-        return int(value.strip())
-    except ValueError:
-        raise CatalogError(f"{path}:{lineno}: field {name!r} must be an integer, got {value!r}")
+def _typed_row(path: Path, lineno: int, line: str, header: tuple[str, ...]) -> tuple:
+    """One value per header column: ``id`` and ``source`` as stripped text,
+    every other column as an integer."""
+    fields = next(csv.reader([line]))
+    if len(fields) != len(header):
+        raise CatalogError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+    values: list[int | str] = []
+    for name, value in zip(header, fields):
+        if name in ("id", "source"):
+            values.append(value.strip())
+            continue
+        try:
+            values.append(int(value.strip()))
+        except ValueError:
+            raise CatalogError(
+                f"{path}:{lineno}: field {name!r} must be an integer, got {value!r}"
+            ) from None
+    return tuple(values)
 
 
 def load_nikulin(path: str | Path | None = None) -> NikulinCatalog:
@@ -232,13 +235,7 @@ def load_nikulin(path: str | Path | None = None) -> NikulinCatalog:
     pragmas, rows = _read_rows(p, ("r", "a", "delta", "source"))
     triples: list[NikulinTriple] = []
     seen: set[tuple[int, int, int]] = set()
-    for lineno, fields in rows:
-        if len(fields) != 4:
-            raise CatalogError(f"{p}:{lineno}: expected 4 fields, got {len(fields)}")
-        r = _int_field(p, lineno, "r", fields[0])
-        a = _int_field(p, lineno, "a", fields[1])
-        delta = _int_field(p, lineno, "delta", fields[2])
-        source = fields[3].strip()
+    for lineno, (r, a, delta, source) in rows:
         if not 1 <= r <= 20:
             raise CatalogError(f"{p}:{lineno}: r must be in 1..20, got {r}")
         if not 0 <= a <= 11:
@@ -274,16 +271,9 @@ def load_fano(path: str | Path | None = None) -> FanoCatalog:
     pragmas, rows = _read_rows(p, ("id", "b2", "b3", "minus_k3", "source"))
     families: list[FanoFamily] = []
     seen_ids: set[str] = set()
-    for lineno, fields in rows:
-        if len(fields) != 5:
-            raise CatalogError(f"{p}:{lineno}: expected 5 fields, got {len(fields)}")
-        fid = fields[0].strip()
+    for lineno, (fid, b2, b3, minus_k3, source) in rows:
         if not fid:
             raise CatalogError(f"{p}:{lineno}: family id must be nonempty")
-        b2 = _int_field(p, lineno, "b2", fields[1])
-        b3 = _int_field(p, lineno, "b3", fields[2])
-        minus_k3 = _int_field(p, lineno, "minus_k3", fields[3])
-        source = fields[4].strip()
         if b2 < 1:
             raise CatalogError(f"{p}:{lineno}: b2 must be >= 1, got {b2}")
         if b3 < 0 or b3 % 2 != 0:
@@ -322,11 +312,7 @@ def load_joyce(path: str | Path | None = None) -> JoyceCatalog | None:
             return None
     pragmas, rows = _read_rows(p, ("b2", "b3"))
     pairs: list[tuple[int, int]] = []
-    for lineno, fields in rows:
-        if len(fields) != 2:
-            raise CatalogError(f"{p}:{lineno}: expected 2 fields, got {len(fields)}")
-        b2 = _int_field(p, lineno, "b2", fields[0])
-        b3 = _int_field(p, lineno, "b3", fields[1])
+    for lineno, (b2, b3) in rows:
         if b2 < 0 or b3 < 0:
             raise CatalogError(f"{p}:{lineno}: Betti numbers must be nonnegative")
         pairs.append((b2, b3))
@@ -348,7 +334,8 @@ def fixed_locus(t: NikulinTriple) -> FixedLocus:
     """Fixed locus of the involution class (r, a, delta).
 
     Empty for (10,10,0); two elliptic curves for (10,8,0); otherwise one
-    curve of genus (22-r-a)/2 plus (r-a)/2 rational curves.
+    curve of genus (22-r-a)/2 plus (r-a)/2 rational curves.  An EMPTY
+    locus is the one test for "this class yields no building block".
     """
     if t.key == (10, 10, 0):
         return FixedLocus(kind=EMPTY)
@@ -363,13 +350,12 @@ def mirror_key(t: NikulinTriple) -> tuple[int, int, int] | None:
     """The key (20-r, a, delta) of the mirror partner of ``t``, or None.
 
     The one definition of the mirror relation.  It is symmetric and
-    excludes (10,10,0), whose empty fixed locus gives no building block,
-    and (14,6,0), whose partner shape (6,6,0) is no even 2-elementary
-    lattice of signature (1, 5).
+    excludes the class with an empty fixed locus, (10,10,0), which gives
+    no building block and is its own partner, and (14,6,0), whose partner
+    shape (6,6,0) is no even 2-elementary lattice of signature (1, 5).
     """
     partner = (20 - t.r, t.a, t.delta)
-    excluded = ((10, 10, 0), (14, 6, 0))
-    if t.key in excluded or partner in excluded:
+    if fixed_locus(t).kind == EMPTY or (14, 6, 0) in (t.key, partner):
         return None
     return partner
 

@@ -14,13 +14,15 @@ Subcommands:
 
 Data rows go to stdout, diagnostics to stderr.  Exit status: 0 success,
 1 bad catalog data or an identity failure, 2 a catalog that cannot be
-read (``OSError``) or a usage error.
+read (``OSError``), a stdout closed before the output ends, or a usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
@@ -29,6 +31,7 @@ from typing import Sequence
 # spans.install_cli patches them, clirun.CLI_SETUP times catalog loading.
 from .building_blocks import euler_crosscheck  # patched by spans.install_cli
 from .catalog import (
+    EMPTY,
     FANO_FILENAME,  # read by clirun.CLI_SETUP
     NIKULIN_FILENAME,  # read by clirun.CLI_SETUP
     CatalogError,
@@ -36,6 +39,7 @@ from .catalog import (
     JoyceCatalog,
     NikulinCatalog,
     default_data_dir,  # read by clirun.CLI_SETUP
+    fixed_locus,
     load_fano,  # patched by spans.install_cli, called by clirun.CLI_SETUP
     load_joyce,  # patched by spans.install_cli
     load_nikulin,  # patched by spans.install_cli, called by clirun.CLI_SETUP
@@ -100,20 +104,29 @@ def _normalize_mode(raw: str) -> str:
     return mode
 
 
-def _banner(
+def _statuses(
     nikulin: NikulinCatalog, fano: FanoCatalog, joyce: JoyceCatalog | None
-) -> None:
-    nik_status = "complete" if nikulin.complete else "INCOMPLETE"
-    fan_status = "rank-1 complete" if fano.complete_rank_1 else "rank-1 INCOMPLETE"
-    if joyce is None:
-        joyce_note = "joyce absent (comparison reports skipped)"
-    else:
-        joyce_note = f"joyce {len(joyce)} rows ({'complete' if joyce.complete else 'INCOMPLETE'})"
-    print(
-        f"# data: nikulin {len(nikulin)} rows ({nik_status}); "
-        f"fano {len(fano)} rows ({fan_status}); {joyce_note}",
-        file=sys.stderr,
-    )
+) -> list[tuple[str, int, str]]:
+    """(catalog, rows, status) per catalog: the ``validate`` rows and the banner's source."""
+
+    def word(complete: bool) -> str:
+        return "complete" if complete else "incomplete"
+
+    return [
+        ("nikulin", len(nikulin), word(nikulin.complete)),
+        ("fano", len(fano), "rank-1 " + word(fano.complete_rank_1)),
+        ("joyce", 0, "absent") if joyce is None else ("joyce", len(joyce), word(joyce.complete)),
+    ]
+
+
+def _banner(statuses: list[tuple[str, int, str]]) -> None:
+    notes = [
+        f"{name} absent (comparison reports skipped)"
+        if status == "absent"
+        else f"{name} {rows} rows ({status.replace('incomplete', 'INCOMPLETE')})"
+        for name, rows, status in statuses
+    ]
+    print("# data: " + "; ".join(notes), file=sys.stderr)
 
 
 def _joined(items: Sequence) -> str:
@@ -232,16 +245,7 @@ def _cmd_validate(
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
 ) -> int:
-    rows = [
-        ("nikulin", len(nikulin), "complete" if nikulin.complete else "incomplete"),
-        ("fano", len(fano), "rank-1 complete" if fano.complete_rank_1 else "rank-1 incomplete"),
-        (
-            "joyce",
-            0 if joyce is None else len(joyce),
-            "absent" if joyce is None else ("complete" if joyce.complete else "incomplete"),
-        ),
-    ]
-    _write_rows(rows, ("catalog", "rows", "status"), args.format)
+    _write_rows(_statuses(nikulin, fano, joyce), ("catalog", "rows", "status"), args.format)
     return EXIT_OK
 
 
@@ -302,7 +306,7 @@ def _cmd_crosscheck(
     failures: list[str] = []
     checked = 0
     for t in nikulin:
-        if t.key == (10, 10, 0):
+        if fixed_locus(t).kind == EMPTY:
             continue
         checked += 1
         result = euler_crosscheck(t)
@@ -382,12 +386,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CatalogError as exc:
         print(f"g2sum: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    _banner(nikulin, fano, joyce)
+    _banner(_statuses(nikulin, fano, joyce))
     try:
         return _COMMANDS[args.command](args, nikulin, fano, joyce)
     except (CatalogError, IdentityError) as exc:
         print(f"g2sum: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError as exc:
+        # The reader closed stdout.  Point the descriptor at devnull so the
+        # interpreter's final flush of the unwritten buffer cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"g2sum: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

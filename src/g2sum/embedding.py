@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Final, Iterable, NamedTuple, TYPE_CHECKING
 
-from .catalog import mirror_key
+from .catalog import EMPTY, fixed_locus, mirror_key
 from .lattice_core import LatticeError, Signature, standard_lattice
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
@@ -110,11 +110,6 @@ def embeds_in_2e8_2h(parts: Iterable[tuple[int, int, Signature]]) -> EmbeddingVe
     return nikulin_sufficient(sig_n, rk_total, l_total, _AMBIENT_SIG, _AMBIENT_RANK)
 
 
-def _is_fixed_point_free_type(block: "BuildingBlock") -> bool:
-    t = block.triple
-    return t is not None and (t.r, t.a, t.delta) == (10, 10, 0)
-
-
 def _mirror_pair_rule(b1: "BuildingBlock", b2: "BuildingBlock") -> str | None:
     """Mirror pairs of invariant lattices embed with hyperbolic complements.
 
@@ -127,15 +122,17 @@ def _mirror_pair_rule(b1: "BuildingBlock", b2: "BuildingBlock") -> str | None:
     return None
 
 
+# The involution classes of 2*E8_NEG + H and 2*E8_NEG + <2>.
+LARGE_RANK_ANCHORS: Final = ((18, 0, 0), (17, 1, 1))
+
+
 def _large_rank_rank_one_rule(b1: "BuildingBlock", b2: "BuildingBlock") -> str | None:
     """The rank-18 and rank-17 lattices 2*E8_NEG + H and 2*E8_NEG + <2>
     embed into 2*E8_NEG + H; their sum with any even rank-one lattice
     therefore embeds into the full 2*E8_NEG + 2*H."""
     for big, small in ((b1, b2), (b2, b1)):
         t = big.triple
-        if t is None:
-            continue
-        if (t.r, t.a, t.delta) in ((18, 0, 0), (17, 1, 1)) and small.rank == 1:
+        if t is not None and t.key in LARGE_RANK_ANCHORS and small.rank == 1:
             return "large-rank-rank-one"
     return None
 
@@ -150,7 +147,7 @@ def matching_condition(b1: "BuildingBlock", b2: "BuildingBlock") -> MatchCertifi
     fixed-point-free non-symplectic class (10,10,0) are rejected.
     """
     for b in (b1, b2):
-        if _is_fixed_point_free_type(b):
+        if b.triple is not None and fixed_locus(b.triple).kind == EMPTY:
             raise LatticeError(
                 "non-symplectic type (10,10,0) admits no building block (empty fixed locus)"
             )

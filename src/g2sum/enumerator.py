@@ -50,14 +50,16 @@ from .building_blocks import (
     quartic_blowup_block,
 )
 from .catalog import (
+    EMPTY,
     CatalogError,
     FanoCatalog,
     FanoFamily,
     JoyceCatalog,
     NikulinCatalog,
+    fixed_locus,
     mirror_pairs,
 )
-from .embedding import MatchCertificate, matching_condition
+from .embedding import LARGE_RANK_ANCHORS, MatchCertificate, matching_condition
 from .lattice_core import LatticeError
 
 EMB_A = "EMB_A"
@@ -163,7 +165,7 @@ def _enumerate(space: str, fano: Iterable[FanoFamily], nikulin: NikulinCatalog) 
     """The sorted records of one pair-space, each checked against its identities."""
     pool = {f: _entry(fano_block(f), (0, f.g + 2)) for f in fano}
     for t in nikulin:
-        if t.key != (10, 10, 0):
+        if fixed_locus(t).kind != EMPTY:
             pool[t] = _entry(involution_block(t), (2 + t.r - t.a, 46 - t.r - 3 * t.a))
     blocks = list(pool.values())
     quartic = _entry(quartic_blowup_block(), (3, 27))
@@ -177,12 +179,12 @@ def _enumerate(space: str, fano: Iterable[FanoFamily], nikulin: NikulinCatalog) 
     elif space == MIRROR:
         pairs = [(pool[t1], pool[t2]) for t1, t2 in mirror_pairs(nikulin)]
     else:
-        found = {key: nikulin.find(*key) for key in ((18, 0, 0), (17, 1, 1), (1, 1, 1))}
+        found = {key: nikulin.find(*key) for key in (*LARGE_RANK_ANCHORS, (1, 1, 1))}
         for key, t in found.items():
             if t is None:
                 raise CatalogError(f"large-rank enumeration needs triple {key} in the catalog")
         partners = [e for e in blocks + [quartic] if e.block.rank == 1]
-        pairs = [(pool[found[key]], q) for key in ((18, 0, 0), (17, 1, 1)) for q in partners]
+        pairs = [(pool[found[key]], q) for key in LARGE_RANK_ANCHORS for q in partners]
 
     certificates: dict[tuple, MatchCertificate] = {}
     records: list[G2Record] = []

@@ -263,6 +263,23 @@ def test_module_entry_point():
     assert len(rows) == 11
 
 
+def test_closed_stdout_is_io_error_without_traceback():
+    # The text output far outgrows a pipe's buffer, so the child is still
+    # writing when its reader goes away, as under `| head -1`.
+    with subprocess.Popen(
+        [sys.executable, "-m", "g2sum.cli", "enumerate", "emb"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        assert proc.stdout.readline().split()[:2] == ["b2", "b3"]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_IO
+    assert "Traceback" not in err
+    assert "g2sum: cannot write output:" in err
+
+
 
 def test_cli_start_imports_no_rational_arithmetic():
     probe = "import sys, g2sum.cli; print(*{'fractions', 'decimal', 'numbers'} & set(sys.modules))"

@@ -164,7 +164,7 @@ def test_fixed_point_free_block_rejected():
         d=2,
         rank=10,
         l_bound=10,
-        triple=type("T", (), {"r": 10, "a": 10, "delta": 0})(),
+        triple=NikulinTriple(10, 10, 0),
     )
     with pytest.raises(LatticeError, match=r"\(10,10,0\)"):
         matching_condition(ghost, ghost)
