@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -288,10 +289,12 @@ def _cmd_table1(
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
 ) -> int:
-    records = enumerate_emb(fano, nikulin)
+    b3_values: dict[int, list[int]] = {}
+    for b2, b3 in distinct_betti(enumerate_emb(fano, nikulin)):
+        b3_values.setdefault(b2, []).append(b3)
     rows = []
     for b2 in range(2, 19, 2):
-        values = tuple(sorted({r.b3 for r in records if r.b2 == b2}))
+        values = tuple(b3_values.get(b2, ()))
         rows.append((b2, len(values), values))
     _write_rows(rows, ("b2", "count", "b3_values"), args.format)
     return EXIT_OK
@@ -387,6 +390,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"g2sum: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     _banner(_statuses(nikulin, fano, joyce))
+    # A command's objects die by reference count; the cyclic collector would
+    # only rescan them, so it stays off until the command ends and is then
+    # left as the caller had it.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](args, nikulin, fano, joyce)
     except (CatalogError, IdentityError) as exc:
@@ -398,6 +406,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"g2sum: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -22,9 +22,13 @@ total size below 20 passes the numeric embedding criterion.
 * ``LARGE_RANK``  (18,0,0) and (17,1,1) against every rank-1 block: the
                   rank-1 Fano families, the (1,1,1) class and the quartic.
 
-Each call decides the matching certificate once per pair of lattice
-classes ``(rank, l_bound, triple)``: the certificate reads nothing else of
-a block, so every pair in those classes shares it.
+Each call decides a pair's outcome (its clause, certificate, ``glue_betti``
+result and identity checks) once per *pair class*: the two blocks' kinds,
+lattice classes ``(rank, l_bound, triple)``, gluing inputs
+``(b2_bar, b3_bar, d)`` and catalog shares ``(d, e)``.  The outcome reads
+nothing else of a block, so every pair in a class shares it, and the
+certificate, which reads only the lattice classes, is decided once per pair
+of those.  Each record is then built from its class's outcome.
 
 A record's Betti numbers come from ``glue_betti`` alone and are checked
 against a closed form summed per block from the catalog row, with
@@ -32,8 +36,8 @@ b2 = d1 + d2 and b3 = e1 + e2 + 23 for the block shares (d, e): Fano
 (0, g + 2), involution (2 + r - a, 46 - r - 3a), quartic (3, 27).  Each
 certificate must carry condition A.  Both identities are enforced by
 explicit checks that raise ``IdentityError`` in every build, ``python -O``
-included; the identities are structural, so a failure means a
-transcription bug.
+included, at the first pair of the class that breaks them; the identities
+are structural, so a failure means a transcription bug.
 """
 
 from __future__ import annotations
@@ -136,16 +140,23 @@ def glue_betti(block1: BuildingBlock, block2: BuildingBlock, n: int = 0) -> Glue
     open1 = open_betti(block1)[0]
     open2 = open_betti(block2)[0]
     ok = (open1 - block1.d) + (open2 - block2.d) <= 22
-    return GlueResult(b2=b2, b3=b3, rank_condition_ok=ok)
+    return GlueResult(b2, b3, ok)
 
 
 class _Entry(NamedTuple):
-    """One pooled block with what every pair it joins reads of it."""
+    """One pooled block with what every pair it joins reads of it.
+
+    ``lattice`` and ``outcome`` are small ints, unique within one call, for
+    the block's lattice class and for everything a pair's outcome reads of
+    the block; ``order`` is its label's rank among the pool's labels.
+    """
 
     block: BuildingBlock
     size: int
-    cls: tuple
     share: tuple[int, int]
+    lattice: int
+    outcome: int
+    order: int
 
 
 _CLAUSES: Final = {
@@ -155,25 +166,41 @@ _CLAUSES: Final = {
 }
 
 
-def _entry(block: BuildingBlock, share: tuple[int, int]) -> _Entry:
-    triple = block.triple
-    cls = (block.rank, block.l_bound, None if triple is None else triple.key)
-    return _Entry(block, block.rank + block.l_bound, cls, share)
-
-
 def _enumerate(space: str, fano: Iterable[FanoFamily], nikulin: NikulinCatalog) -> list[G2Record]:
     """The sorted records of one pair-space, each checked against its identities."""
-    pool = {f: _entry(fano_block(f), (0, f.g + 2)) for f in fano}
+    made = {f: (fano_block(f), (0, f.g + 2)) for f in fano}
     for t in nikulin:
         if fixed_locus(t).kind != EMPTY:
-            pool[t] = _entry(involution_block(t), (2 + t.r - t.a, 46 - t.r - 3 * t.a))
-    blocks = list(pool.values())
-    quartic = _entry(quartic_blowup_block(), (3, 27))
+            made[t] = (involution_block(t), (2 + t.r - t.a, 46 - t.r - 3 * t.a))
+    made_quartic = (quartic_blowup_block(), (3, 27))
+    labels = sorted({block.label for block, _ in (*made.values(), made_quartic)})
+    order = {label: i for i, label in enumerate(labels)}
+    ids: dict[tuple, int] = {}
 
+    def entry(block: BuildingBlock, share: tuple[int, int]) -> _Entry:
+        triple = block.triple
+        lattice = (block.rank, block.l_bound, None if triple is None else triple.key)
+        outcome = (block.kind, lattice, block.b2_bar, block.b3_bar, block.d, share)
+        return _Entry(
+            block,
+            block.rank + block.l_bound,
+            share,
+            ids.setdefault(lattice, len(ids)),
+            ids.setdefault(outcome, len(ids)),
+            order[block.label],
+        )
+
+    pool = {row: entry(block, share) for row, (block, share) in made.items()}
+    blocks = list(pool.values())
+    quartic = entry(*made_quartic)
+
+    pairs: Iterable[tuple[_Entry, _Entry]]
     if space == "emb":
-        pairs = [
+        # Drawn lazily, so the emb pairs (8211 on the packaged catalogs) are
+        # never held beside their records.
+        pairs = (
             (p, q) for i, p in enumerate(blocks) for q in blocks[i:] if p.size + q.size < 20
-        ]
+        )
     elif space == SEQ:
         pairs = [(quartic, q) for q in blocks if quartic.size + q.size < 20]
     elif space == MIRROR:
@@ -186,32 +213,46 @@ def _enumerate(space: str, fano: Iterable[FanoFamily], nikulin: NikulinCatalog) 
         partners = [e for e in blocks + [quartic] if e.block.rank == 1]
         pairs = [(pool[found[key]], q) for key in LARGE_RANK_ANCHORS for q in partners]
 
-    certificates: dict[tuple, MatchCertificate] = {}
+    # A pair's outcome reads only the fields numbered by ``outcome``, and its
+    # certificate only those numbered by ``lattice``: each is decided, and
+    # checked, at the first pair of its class.
+    certificates: dict[tuple[int, int], MatchCertificate] = {}
+    outcomes: dict[tuple[int, int], tuple] = {}
     records: list[G2Record] = []
-    for (block1, _, cls1, (d1, e1)), (block2, _, cls2, (d2, e2)) in pairs:
-        mode = _CLAUSES[block1.kind, block2.kind] if space == "emb" else space
-        certificate = certificates.get((cls1, cls2))
-        if certificate is None:
-            certificate = certificates[cls1, cls2] = matching_condition(block1, block2)
-        if not certificate.has_cond_a:
-            raise IdentityError(f"{mode} pair lost condition A: {block1.label} x {block2.label}")
-        glue = glue_betti(block1, block2, 0)
-        closed = (d1 + d2, e1 + e2 + 23)
-        if glue.betti != closed:
-            raise IdentityError(
-                f"closed-form/glue disagreement in {mode} for "
-                f"{block1.label} x {block2.label}: closed {closed}, glued {glue.betti}"
-            )
-        if space == MIRROR and glue.b3 != 3 * glue.b2 + 23:
-            raise IdentityError(
-                f"mirror pair {block1.label} x {block2.label} gives {glue.betti}, "
-                "off the line b3 = 3 b2 + 23"
-            )
-        records.append(
-            G2Record(glue.b2, glue.b3, mode, 0, certificate, (block1, block2), glue.flags)
-        )
-    records.sort(key=lambda r: (r.b2, r.b3, r.mode, r.blocks[0].label, r.blocks[1].label))
-    return records
+    keys: list[tuple] = []
+    for p, q in pairs:
+        key = (p.outcome, q.outcome)
+        outcome = outcomes.get(key)
+        if outcome is None:
+            block1, block2 = p.block, q.block
+            mode = _CLAUSES[block1.kind, block2.kind] if space == "emb" else space
+            certificate = certificates.get((p.lattice, q.lattice))
+            if certificate is None:
+                certificate = matching_condition(block1, block2)
+                if not certificate.has_cond_a:
+                    raise IdentityError(
+                        f"{mode} pair lost condition A: {block1.label} x {block2.label}"
+                    )
+                certificates[p.lattice, q.lattice] = certificate
+            glue = glue_betti(block1, block2, 0)
+            (d1, e1), (d2, e2) = p.share, q.share
+            closed = (d1 + d2, e1 + e2 + 23)
+            if glue.betti != closed:
+                raise IdentityError(
+                    f"closed-form/glue disagreement in {mode} for "
+                    f"{block1.label} x {block2.label}: closed {closed}, glued {glue.betti}"
+                )
+            if space == MIRROR and glue.b3 != 3 * glue.b2 + 23:
+                raise IdentityError(
+                    f"mirror pair {block1.label} x {block2.label} gives {glue.betti}, "
+                    "off the line b3 = 3 b2 + 23"
+                )
+            outcome = outcomes[key] = (glue.b2, glue.b3, mode, certificate, glue.flags)
+        b2, b3, mode, certificate, flags = outcome
+        records.append(G2Record(b2, b3, mode, 0, certificate, (p.block, q.block), flags))
+        keys.append((b2, b3, mode, p.order, q.order))
+    # Sorting indices on the keys alone never compares two records.
+    return [records[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
 
 
 def enumerate_emb(fano: FanoCatalog, nikulin: NikulinCatalog) -> list[G2Record]:

@@ -2,10 +2,12 @@
 
 import csv
 import errno
+import gc
 import io
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -350,17 +352,45 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+# A certificate without condition A planted for one class of pairs: two
+# rank-1 Fano families.  Each such pair is admitted by clause EMB_A, so the
+# enumerator must refuse it.
+PLANTED_COND_A_BUG = """
+import sys
+import g2sum.enumerator as enumerator
+from g2sum.cli import main
+from g2sum.embedding import COND_B, INCONCLUSIVE, EmbeddingVerdict, MatchCertificate
+
+real_matching_condition = enumerator.matching_condition
+
+
+def cond_b_only(block1, block2):
+    if block1.fano is not None and block2.fano is not None and block1.rank == block2.rank == 1:
+        return MatchCertificate(COND_B, EmbeddingVerdict(INCONCLUSIVE, "numeric"), True)
+    return real_matching_condition(block1, block2)
+
+
+enumerator.matching_condition = cond_b_only
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 @pytest.mark.parametrize("optimize", [(), ("-O",)], ids=["plain", "optimized"])
 @pytest.mark.parametrize(
-    "planted, argv",
+    "planted, argv, message",
     [
-        (PLANTED_GLUE_BUG, ("betti-list", "emb")),
-        (PLANTED_GLUE_BUG, ("crosscheck",)),
-        (PLANTED_BLOCK_BUG, ("betti-list", "mirror")),
+        (PLANTED_GLUE_BUG, ("betti-list", "emb"), r"closed-form/glue disagreement"),
+        (PLANTED_GLUE_BUG, ("crosscheck",), r"closed-form/glue disagreement"),
+        (PLANTED_BLOCK_BUG, ("betti-list", "mirror"), r"closed-form/glue disagreement"),
+        (
+            PLANTED_COND_A_BUG,
+            ("betti-list", "emb"),
+            r"(?m)^g2sum: EMB_A pair lost condition A: fano\(\S+\) x fano\(\S+\)$",
+        ),
     ],
-    ids=["betti-list emb", "crosscheck", "block-bug betti-list mirror"],
+    ids=["betti-list emb", "crosscheck", "block-bug betti-list mirror", "cond-a betti-list emb"],
 )
-def test_identity_failure_exits_1_in_every_build(optimize, planted, argv):
+def test_identity_failure_exits_1_in_every_build(optimize, planted, argv, message):
     proc = subprocess.run(
         [sys.executable, *optimize, "-c", planted, *argv],
         capture_output=True,
@@ -368,7 +398,7 @@ def test_identity_failure_exits_1_in_every_build(optimize, planted, argv):
         timeout=120,
     )
     assert proc.returncode == EXIT_VALIDATION
-    assert "closed-form/glue disagreement" in proc.stderr
+    assert re.search(message, proc.stderr), proc.stderr
     assert "OK" not in proc.stdout.split()
 
 
@@ -425,3 +455,39 @@ def test_internal_assertion_is_not_a_catalog_failure(monkeypatch, capsys):
         main(["betti-list", "mirror"])
     err = capsys.readouterr().err
     assert not any(line.startswith("g2sum:") for line in err.splitlines())
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """The cyclic collector's state as the test starts; restored afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_main_runs_without_cyclic_gc_and_restores_it(monkeypatch, capsys, collector):
+    import g2sum.cli as cli
+
+    seen = []
+    real = cli.enumerate_mirror
+
+    def noting(nikulin):
+        seen.append(gc.isenabled())
+        return real(nikulin)
+
+    monkeypatch.setattr(cli, "enumerate_mirror", noting)
+    assert main(["betti-list", "mirror"]) == EXIT_OK
+    assert gc.isenabled() is collector
+    assert seen == [False]
+    assert len(capsys.readouterr().out.splitlines()) == 12
+
+
+def test_main_restores_gc_after_a_failed_command(tmp_path, capsys, collector):
+    # The large-rank pairs need (18,0,0); its absence is a CatalogError raised
+    # by the command, not by loading.
+    small = tmp_path / "nik.csv"
+    small.write_text("r,a,delta,source\n1,1,1,x\n2,2,0,y\n")
+    assert main(["betti-list", "large_rank", "--nikulin", str(small)]) == EXIT_VALIDATION
+    assert gc.isenabled() is collector
+    assert "needs triple (18, 0, 0)" in capsys.readouterr().err

@@ -252,6 +252,14 @@ def lattice_class(block):
     return (block.rank, block.l_bound, None if block.triple is None else block.triple.key)
 
 
+def pair_class(block):
+    """What a pair's outcome reads of a block: its kind, lattice class, gluing
+    inputs, and the catalog field that its closed-form share adds (a Fano
+    family's genus; an involution's share reads only its triple)."""
+    genus = None if block.fano is None else block.fano.g
+    return (block.kind, lattice_class(block), block.b2_bar, block.b3_bar, block.d, genus)
+
+
 def test_emb_builds_each_block_once_and_certifies_each_class_once(monkeypatch, fano, nikulin):
     calls = Counter()
 
@@ -264,7 +272,7 @@ def test_emb_builds_each_block_once_and_certifies_each_class_once(monkeypatch, f
 
         return wrapper
 
-    for name in ("fano_block", "involution_block", "matching_condition"):
+    for name in ("fano_block", "involution_block", "matching_condition", "glue_betti"):
         monkeypatch.setattr(enumerator_mod, name, counted(name))
     records = enumerate_emb(fano, nikulin)
 
@@ -275,6 +283,9 @@ def test_emb_builds_each_block_once_and_certifies_each_class_once(monkeypatch, f
     classes = {tuple(lattice_class(b) for b in r.blocks) for r in records}
     assert len(classes) == 380
     assert calls["matching_condition"] == len(classes)
+    pair_classes = {tuple(pair_class(b) for b in r.blocks) for r in records}
+    assert len(pair_classes) == 3514 < len(records)
+    assert calls["glue_betti"] == len(pair_classes)
 
 
 def test_emb_shared_certificates_equal_fresh_ones(emb_records):
