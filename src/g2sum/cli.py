@@ -9,8 +9,12 @@ Subcommands:
 * ``table1``            per-b2 summary of the numeric-clause enumeration:
                         pair count and sorted b3 values for b2 = 2..18;
 * ``crosscheck``        run every internal identity: the fixed-curve
-                        recomputation for all involution classes and the
-                        closed-form-vs-gluing identity for all records.
+                        recomputation for all involution classes, and the
+                        closed-form-vs-gluing identity once per pair class
+                        of all four pair-spaces, decided over one pool.
+
+``betti-list``, ``table1`` and ``crosscheck`` read the pair classes of the
+enumerator's census and their weights; only ``enumerate`` builds records.
 
 Data rows go to stdout, diagnostics to stderr.  Exit status: 0 success,
 1 bad catalog data or an identity failure, 2 a catalog that cannot be
@@ -49,8 +53,13 @@ from .enumerator import (
     EMB_A,
     EMB_B,
     EMB_C,
+    LARGE_RANK,
+    MIRROR,
+    SEQ,
     G2Record,
     IdentityError,
+    PairClass,
+    _census,
     compare_joyce,  # patched by spans.install_cli
     count_matched_pairs,  # patched by spans.install_cli
     distinct_betti,  # patched by spans.install_cli
@@ -224,6 +233,16 @@ def _record_rows(records: Sequence[G2Record]) -> list[tuple]:
     ]
 
 
+_SPACES = {"mirror": MIRROR, "seq": SEQ, "large_rank": LARGE_RANK}
+_EMB_CLAUSES = {"emb_a": EMB_A, "emb_b": EMB_B, "emb_c": EMB_C}
+
+
+def _of_clause(mode: str, rows: list) -> list:
+    """The ``rows`` of the emb clause that ``mode`` names; all of them for any other mode."""
+    clause = _EMB_CLAUSES.get(mode)
+    return rows if clause is None else [r for r in rows if r.mode == clause]
+
+
 def _mode_records(
     mode: str, nikulin: NikulinCatalog, fano: FanoCatalog
 ) -> list[G2Record]:
@@ -233,11 +252,16 @@ def _mode_records(
         return enumerate_seq(fano, nikulin)
     if mode == "large_rank":
         return enumerate_large_rank(fano, nikulin)
-    records = enumerate_emb(fano, nikulin)
-    if mode == "emb":
-        return records
-    wanted = {"emb_a": EMB_A, "emb_b": EMB_B, "emb_c": EMB_C}[mode]
-    return [r for r in records if r.mode == wanted]
+    return _of_clause(mode, enumerate_emb(fano, nikulin))
+
+
+def _mode_classes(
+    mode: str, nikulin: NikulinCatalog, fano: FanoCatalog
+) -> list[PairClass]:
+    space = _SPACES.get(mode, "emb")
+    # The mirror pairs join involution blocks only, so no Fano block is built for them.
+    census = _census(() if space == MIRROR else fano, nikulin, (space,))
+    return _of_clause(mode, census[space])
 
 
 def _cmd_validate(
@@ -278,8 +302,8 @@ def _cmd_betti_list(
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
 ) -> int:
-    records = _mode_records(args.mode, nikulin, fano)
-    _write_rows(distinct_betti(records), ("b2", "b3"), args.format)
+    classes = _mode_classes(args.mode, nikulin, fano)
+    _write_rows(distinct_betti(classes), ("b2", "b3"), args.format)
     return EXIT_OK
 
 
@@ -290,7 +314,7 @@ def _cmd_table1(
     joyce: JoyceCatalog | None,
 ) -> int:
     b3_values: dict[int, list[int]] = {}
-    for b2, b3 in distinct_betti(enumerate_emb(fano, nikulin)):
+    for b2, b3 in distinct_betti(_census(fano, nikulin, ("emb",))["emb"]):
         b3_values.setdefault(b2, []).append(b3)
     rows = []
     for b2 in range(2, 19, 2):
@@ -322,16 +346,12 @@ def _cmd_crosscheck(
             )
     rows = [("euler_crosscheck", checked, "FAIL" if failures else "OK")]
 
-    emb_records = enumerate_emb(fano, nikulin)
-    all_records = (
-        list(emb_records)
-        + enumerate_mirror(nikulin)
-        + enumerate_seq(fano, nikulin)
-        + enumerate_large_rank(fano, nikulin)
-    )
-    rows.append(("closed_vs_glue", len(all_records), "OK"))
+    census = _census(fano, nikulin, ("emb", MIRROR, SEQ, LARGE_RANK))
+    emb = census["emb"]
+    every = [c for classes in census.values() for c in classes]
+    rows.append(("closed_vs_glue", sum(c.weight for c in every), "OK"))
 
-    counts = count_matched_pairs(emb_records)
+    counts = count_matched_pairs(emb)
     rows.append(
         (
             "pair_totals",
@@ -344,18 +364,18 @@ def _cmd_crosscheck(
     rows.append(
         (
             "distinct_betti",
-            len(distinct_betti(all_records)),
-            f"emb={len(distinct_betti(emb_records))}",
+            len(distinct_betti(every)),
+            f"emb={len(distinct_betti(emb))}",
         )
     )
-    comparison = compare_joyce(emb_records, joyce)
+    comparison = compare_joyce(emb, joyce)
     if comparison is None:
         rows.append(("joyce_comparison", 0, "NOT_AVAILABLE"))
     else:
         rows.append(
             (
                 "joyce_comparison",
-                len(joyce) if joyce else 0,
+                len(joyce),
                 f"overlap={comparison.overlap_count} new={comparison.new_count} "
                 f"mod4_violations={comparison.mod4_violations}",
             )

@@ -7,9 +7,9 @@ polarizing intersection gives a closed 7-manifold with
     b3(M) = b3_bar1 + b3_bar2 + b2(M) - 2n + 23.
 
 Every enumeration here uses n = 0 and is a *pair-space*: a set of block
-pairs drawn from one pool, built once per call in catalog order (each Fano
-family, each involution class but the fixed-point-free (10,10,0), then the
-quartic blow-up block).  A block's *size* is ``rank + l_bound``; a pair of
+pairs drawn from one pool, built once per census in catalog order (each
+Fano family, each involution class but the fixed-point-free (10,10,0), then
+the quartic blow-up block).  A block's *size* is ``rank + l_bound``; a pair of
 total size below 20 passes the numeric embedding criterion.
 
 * ``emb``         every unordered pool pair of size below 20, the quartic
@@ -22,13 +22,23 @@ total size below 20 passes the numeric embedding criterion.
 * ``LARGE_RANK``  (18,0,0) and (17,1,1) against every rank-1 block: the
                   rank-1 Fano families, the (1,1,1) class and the quartic.
 
-Each call decides a pair's outcome (its clause, certificate, ``glue_betti``
-result and identity checks) once per *pair class*: the two blocks' kinds,
-lattice classes ``(rank, l_bound, triple)``, gluing inputs
-``(b2_bar, b3_bar, d)`` and catalog shares ``(d, e)``.  The outcome reads
-nothing else of a block, so every pair in a class shares it, and the
-certificate, which reads only the lattice classes, is decided once per pair
-of those.  Each record is then built from its class's outcome.
+A pair's outcome (its clause, certificate, ``glue_betti`` result and
+identity checks) reads only each block's kind, lattice class
+``(rank, l_bound, triple)``, gluing inputs ``(b2_bar, b3_bar, d)`` and
+catalog share ``(d, e)``: its *outcome class*.  The *census* is the one
+loop that decides outcomes.  It groups one pool by outcome class, pairs the
+groups under each requested space's predicate, a group possibly with
+itself, and decides each admitted pair of groups once, from their first
+members; the certificate, which reads only the lattice classes,
+is decided once per unordered pair of those over all the spaces.  Each
+decided ``PairClass`` carries its *weight*, the number of block pairs it
+stands for: m * m' for two groups of m and m' blocks, m (m + 1) / 2 for a
+group of m paired with itself, m of them *diagonal* (a block with itself).
+
+Two readers sit on the census.  ``enumerate_*`` expand each class into its
+``G2Record``s in a fixed order.  ``distinct_betti``, ``count_matched_pairs``
+and ``compare_joyce`` read weighted rows, a class or a record, which is a
+row of weight 1, so the reports never build the records.
 
 A record's Betti numbers come from ``glue_betti`` alone and are checked
 against a closed form summed per block from the catalog row, with
@@ -36,8 +46,8 @@ b2 = d1 + d2 and b3 = e1 + e2 + 23 for the block shares (d, e): Fano
 (0, g + 2), involution (2 + r - a, 46 - r - 3a), quartic (3, 27).  Each
 certificate must carry condition A.  Both identities are enforced by
 explicit checks that raise ``IdentityError`` in every build, ``python -O``
-included, at the first pair of the class that breaks them; the identities
-are structural, so a failure means a transcription bug.
+included, at the first pair class that breaks them; the identities are
+structural, so a failure means a transcription bug.
 """
 
 from __future__ import annotations
@@ -124,6 +134,16 @@ class G2Record(NamedTuple):
     def verified(self) -> bool:
         return UNVERIFIED not in self.flags
 
+    @property
+    def weight(self) -> int:
+        """A record is one pair; ``PairClass.weight`` counts a class's pairs."""
+        return 1
+
+    @property
+    def diagonal(self) -> int:
+        """1 for a block paired with itself, else 0."""
+        return 1 if self.blocks[0] == self.blocks[1] else 0
+
 
 def glue_betti(block1: BuildingBlock, block2: BuildingBlock, n: int = 0) -> GlueResult:
     """Betti numbers of the glued 7-manifold for an n-dimensional matching.
@@ -146,9 +166,10 @@ def glue_betti(block1: BuildingBlock, block2: BuildingBlock, n: int = 0) -> Glue
 class _Entry(NamedTuple):
     """One pooled block with what every pair it joins reads of it.
 
-    ``lattice`` and ``outcome`` are small ints, unique within one call, for
+    ``lattice`` and ``outcome`` are small ints, unique within one census, for
     the block's lattice class and for everything a pair's outcome reads of
-    the block; ``order`` is its label's rank among the pool's labels.
+    the block; ``position`` is its place in the pool and ``order`` its
+    label's rank among the pool's labels.
     """
 
     block: BuildingBlock
@@ -156,7 +177,29 @@ class _Entry(NamedTuple):
     share: tuple[int, int]
     lattice: int
     outcome: int
+    position: int
     order: int
+
+
+class PairClass(NamedTuple):
+    """The pairs of one pair-space that join two outcome classes of blocks.
+
+    ``groups`` holds the two classes, each a tuple of pool entries in pool
+    order; every pair of a member of the first with a member of the second
+    shares the outcome ``(b2, b3, mode, certificate, flags)``.  When both
+    are one group its pairs are a member with itself or with a later
+    member.  ``weight`` counts the pairs and ``diagonal`` those of a block
+    with itself.
+    """
+
+    b2: int
+    b3: int
+    mode: str
+    certificate: MatchCertificate
+    flags: tuple[str, ...]
+    weight: int
+    diagonal: int
+    groups: tuple[tuple[_Entry, ...], tuple[_Entry, ...]]
 
 
 _CLAUSES: Final = {
@@ -166,8 +209,14 @@ _CLAUSES: Final = {
 }
 
 
-def _enumerate(space: str, fano: Iterable[FanoFamily], nikulin: NikulinCatalog) -> list[G2Record]:
-    """The sorted records of one pair-space, each checked against its identities."""
+def _census(
+    fano: Iterable[FanoFamily], nikulin: NikulinCatalog, spaces: Sequence[str]
+) -> dict[str, list[PairClass]]:
+    """The decided pair classes of each of ``spaces``, all drawn from one pool.
+
+    The spaces are decided in the order given, so an identity failure is
+    reported for the first space that has one.
+    """
     made = {f: (fano_block(f), (0, f.g + 2)) for f in fano}
     for t in nikulin:
         if fixed_locus(t).kind != EMPTY:
@@ -177,7 +226,7 @@ def _enumerate(space: str, fano: Iterable[FanoFamily], nikulin: NikulinCatalog) 
     order = {label: i for i, label in enumerate(labels)}
     ids: dict[tuple, int] = {}
 
-    def entry(block: BuildingBlock, share: tuple[int, int]) -> _Entry:
+    def entry(position: int, block: BuildingBlock, share: tuple[int, int]) -> _Entry:
         triple = block.triple
         lattice = (block.rank, block.l_bound, None if triple is None else triple.key)
         outcome = (block.kind, lattice, block.b2_bar, block.b3_bar, block.d, share)
@@ -187,70 +236,118 @@ def _enumerate(space: str, fano: Iterable[FanoFamily], nikulin: NikulinCatalog) 
             share,
             ids.setdefault(lattice, len(ids)),
             ids.setdefault(outcome, len(ids)),
+            position,
             order[block.label],
         )
 
-    pool = {row: entry(block, share) for row, (block, share) in made.items()}
-    blocks = list(pool.values())
-    quartic = entry(*made_quartic)
+    pool = {row: entry(i, *block_share) for i, (row, block_share) in enumerate(made.items())}
+    members: dict[int, list[_Entry]] = {}
+    for e in pool.values():
+        members.setdefault(e.outcome, []).append(e)
+    group_of = {outcome: tuple(entries) for outcome, entries in members.items()}
+    groups = list(group_of.values())  # in pool order of their first members
+    quartic = (entry(len(pool), *made_quartic),)
 
-    pairs: Iterable[tuple[_Entry, _Entry]]
-    if space == "emb":
-        # Drawn lazily, so the emb pairs (8211 on the packaged catalogs) are
-        # never held beside their records.
-        pairs = (
-            (p, q) for i, p in enumerate(blocks) for q in blocks[i:] if p.size + q.size < 20
-        )
-    elif space == SEQ:
-        pairs = [(quartic, q) for q in blocks if quartic.size + q.size < 20]
-    elif space == MIRROR:
-        pairs = [(pool[t1], pool[t2]) for t1, t2 in mirror_pairs(nikulin)]
-    else:
+    def group_pairs(space: str) -> list[tuple[tuple[_Entry, ...], tuple[_Entry, ...]]]:
+        # Every member of a group has the group's size and rank, so a
+        # predicate on two groups' first members admits all their pairs.
+        if space == "emb":
+            return [
+                (g, h)
+                for i, g in enumerate(groups)
+                for h in groups[i:]
+                if g[0].size + h[0].size < 20
+            ]
+        if space == SEQ:
+            return [(quartic, h) for h in groups if quartic[0].size + h[0].size < 20]
+        if space == MIRROR:
+            return [
+                (group_of[pool[t1].outcome], group_of[pool[t2].outcome])
+                for t1, t2 in mirror_pairs(nikulin)
+            ]
         found = {key: nikulin.find(*key) for key in (*LARGE_RANK_ANCHORS, (1, 1, 1))}
         for key, t in found.items():
             if t is None:
                 raise CatalogError(f"large-rank enumeration needs triple {key} in the catalog")
-        partners = [e for e in blocks + [quartic] if e.block.rank == 1]
-        pairs = [(pool[found[key]], q) for key in LARGE_RANK_ANCHORS for q in partners]
+        partners = [h for h in (*groups, quartic) if h[0].block.rank == 1]
+        return [
+            (group_of[pool[found[key]].outcome], h) for key in LARGE_RANK_ANCHORS for h in partners
+        ]
 
-    # A pair's outcome reads only the fields numbered by ``outcome``, and its
-    # certificate only those numbered by ``lattice``: each is decided, and
-    # checked, at the first pair of its class.
+    # A class's outcome is decided from the first member of each group.  A
+    # certificate reads only the two lattice classes, and its value not
+    # their order, so it is decided, and checked, once per unordered pair of
+    # them across all the spaces.
     certificates: dict[tuple[int, int], MatchCertificate] = {}
-    outcomes: dict[tuple[int, int], tuple] = {}
-    records: list[G2Record] = []
-    keys: list[tuple] = []
-    for p, q in pairs:
-        key = (p.outcome, q.outcome)
-        outcome = outcomes.get(key)
-        if outcome is None:
+    census: dict[str, list[PairClass]] = {}
+    for space in spaces:
+        emb = space == "emb"
+        classes = census[space] = []
+        for first, second in group_pairs(space):
+            p, q = first[0], second[0]
             block1, block2 = p.block, q.block
-            mode = _CLAUSES[block1.kind, block2.kind] if space == "emb" else space
-            certificate = certificates.get((p.lattice, q.lattice))
+            mode = _CLAUSES[block1.kind, block2.kind] if emb else space
+            key = (p.lattice, q.lattice) if p.lattice <= q.lattice else (q.lattice, p.lattice)
+            certificate = certificates.get(key)
             if certificate is None:
                 certificate = matching_condition(block1, block2)
                 if not certificate.has_cond_a:
                     raise IdentityError(
                         f"{mode} pair lost condition A: {block1.label} x {block2.label}"
                     )
-                certificates[p.lattice, q.lattice] = certificate
+                certificates[key] = certificate
             glue = glue_betti(block1, block2, 0)
+            b2, b3, _ = glue
             (d1, e1), (d2, e2) = p.share, q.share
-            closed = (d1 + d2, e1 + e2 + 23)
-            if glue.betti != closed:
+            if b2 != d1 + d2 or b3 != e1 + e2 + 23:
                 raise IdentityError(
                     f"closed-form/glue disagreement in {mode} for "
-                    f"{block1.label} x {block2.label}: closed {closed}, glued {glue.betti}"
+                    f"{block1.label} x {block2.label}: "
+                    f"closed {(d1 + d2, e1 + e2 + 23)}, glued {glue.betti}"
                 )
-            if space == MIRROR and glue.b3 != 3 * glue.b2 + 23:
+            if space == MIRROR and b3 != 3 * b2 + 23:
                 raise IdentityError(
                     f"mirror pair {block1.label} x {block2.label} gives {glue.betti}, "
                     "off the line b3 = 3 b2 + 23"
                 )
-            outcome = outcomes[key] = (glue.b2, glue.b3, mode, certificate, glue.flags)
-        b2, b3, mode, certificate, flags = outcome
-        records.append(G2Record(b2, b3, mode, 0, certificate, (p.block, q.block), flags))
-        keys.append((b2, b3, mode, p.order, q.order))
+            m = len(first)
+            if first is second:
+                weight, diagonal = m * (m + 1) // 2, m
+            else:
+                weight, diagonal = m * len(second), 0
+            classes.append(
+                PairClass(b2, b3, mode, certificate, glue.flags, weight, diagonal, (first, second))
+            )
+    return census
+
+
+def _enumerate(space: str, fano: Sequence[FanoFamily], nikulin: NikulinCatalog) -> list[G2Record]:
+    """The records of one pair-space, sorted on (b2, b3, mode, label ranks).
+
+    An emb pair puts its earlier pool block first; the other spaces put
+    their fixed side first: the quartic, the mirror triple with r <= 10,
+    the large-rank anchor.
+    """
+    classes = _census(fano, nikulin, (space,))[space]
+    # Each record's sort key is one int, which sorts as the tuple (rank of
+    # its class's (b2, b3, mode), label rank, label rank) would: every label
+    # rank is below ``width``, the pool's size bound.
+    width = len(fano) + len(nikulin) + 1
+    ranks = {key: i for i, key in enumerate(sorted({c[:3] for c in classes}))}
+    records: list[G2Record] = []
+    keys: list[int] = []
+    emb = space == "emb"
+    for b2, b3, mode, certificate, flags, _, _, (first, second) in classes:
+        if first is second:
+            pairs = [(p, q) for i, p in enumerate(first) for q in first[i:]]
+        elif emb:
+            pairs = [(p, q) if p.position < q.position else (q, p) for p in first for q in second]
+        else:
+            pairs = [(p, q) for p in first for q in second]
+        base = ranks[b2, b3, mode] * width
+        for p, q in pairs:
+            records.append(G2Record(b2, b3, mode, 0, certificate, (p.block, q.block), flags))
+            keys.append((base + p.order) * width + q.order)
     # Sorting indices on the keys alone never compares two records.
     return [records[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
 
@@ -275,9 +372,9 @@ def enumerate_large_rank(fano: FanoCatalog, nikulin: NikulinCatalog) -> list[G2R
     return _enumerate(LARGE_RANK, fano, nikulin)
 
 
-def distinct_betti(records: Iterable[G2Record]) -> tuple[tuple[int, int], ...]:
+def distinct_betti(rows: Iterable[G2Record | PairClass]) -> tuple[tuple[int, int], ...]:
     """Deduplicated (b2, b3) pairs in lexicographic order."""
-    return tuple(sorted({(r.b2, r.b3) for r in records}))
+    return tuple(sorted({(r.b2, r.b3) for r in rows}))
 
 
 class JoyceComparison(NamedTuple):
@@ -289,19 +386,19 @@ class JoyceComparison(NamedTuple):
 
 
 def compare_joyce(
-    records: Sequence[G2Record], joyce: JoyceCatalog | None
+    rows: Sequence[G2Record | PairClass], joyce: JoyceCatalog | None
 ) -> JoyceComparison | None:
-    """Compare distinct record pairs against the comparison set.
+    """Compare the distinct pairs of records or pair classes against the comparison set.
 
     Returns None (not available) when no comparison catalog is loaded.
-    ``mod4_violations`` counts records — not distinct pairs — whose
-    b2 + b3 is not 3 mod 4.
+    ``mod4_violations`` counts pairs of blocks — not distinct Betti pairs —
+    whose b2 + b3 is not 3 mod 4.
     """
     if joyce is None:
         return None
-    ours = set(distinct_betti(records))
+    ours = set(distinct_betti(rows))
     theirs = set(joyce)
-    violations = sum(1 for r in records if (r.b2 + r.b3) % 4 != 3)
+    violations = sum(r.weight for r in rows if (r.b2 + r.b3) % 4 != 3)
     return JoyceComparison(
         overlap_count=len(ours & theirs),
         new_count=len(ours - theirs),
@@ -312,8 +409,8 @@ def compare_joyce(
 class PairCounts(NamedTuple):
     """Pair totals under the three counting conventions.
 
-    A record is diagonal when both block references are equal (a family
-    or involution class matched with itself).
+    A pair is diagonal when both blocks are equal (a family or involution
+    class matched with itself).
     """
 
     clause_a: int
@@ -334,16 +431,15 @@ class PairCounts(NamedTuple):
         return 2 * self.unordered_with_self - self.diagonal
 
 
-def count_matched_pairs(emb_records: Sequence[G2Record]) -> PairCounts:
-    """Tally enumerate_emb output by clause and count self-pairs."""
+def count_matched_pairs(emb_rows: Iterable[G2Record | PairClass]) -> PairCounts:
+    """Tally the emb records or pair classes by clause and count self-pairs."""
     by_mode = {EMB_A: 0, EMB_B: 0, EMB_C: 0}
     diagonal = 0
-    for r in emb_records:
+    for r in emb_rows:
         if r.mode not in by_mode:
-            raise LatticeError(f"count_matched_pairs expects EMB_* records, got {r.mode}")
-        by_mode[r.mode] += 1
-        if r.blocks[0] == r.blocks[1]:
-            diagonal += 1
+            raise LatticeError(f"count_matched_pairs expects EMB_* rows, got {r.mode}")
+        by_mode[r.mode] += r.weight
+        diagonal += r.diagonal
     return PairCounts(
         clause_a=by_mode[EMB_A],
         clause_b=by_mode[EMB_B],

@@ -1,0 +1,189 @@
+"""The census against a naive all-pairs oracle, over sub-catalogs of the packaged rows.
+
+The oracle builds every pair of each pair-space from the catalog rows, one
+block per row and one certificate per pair, with the gluing formula
+written out; the census decides one class of pairs at a time and weighs
+it.  Both must tell the same story: the distinct pairs, the clause
+totals, the diagonal and mod-4 counts, and the records in order.
+"""
+
+import re
+from collections import Counter
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from g2sum.building_blocks import (
+    KIND_FANO,
+    KIND_INVOLUTION,
+    fano_block,
+    involution_block,
+    quartic_blowup_block,
+)
+from g2sum.catalog import (
+    EMPTY,
+    CatalogError,
+    FanoCatalog,
+    JoyceCatalog,
+    NikulinCatalog,
+    fixed_locus,
+    mirror_pairs,
+)
+from g2sum.embedding import matching_condition
+from g2sum.enumerator import (
+    EMB_A,
+    EMB_B,
+    EMB_C,
+    LARGE_RANK,
+    MIRROR,
+    SEQ,
+    PairCounts,
+    _census,
+    compare_joyce,
+    count_matched_pairs,
+    distinct_betti,
+    enumerate_emb,
+    enumerate_large_rank,
+    enumerate_mirror,
+    enumerate_seq,
+)
+
+# The triples the large-rank pairs need, in the order their absence is reported.
+LARGE_RANK_NEEDS = ((18, 0, 0), (17, 1, 1), (1, 1, 1))
+CLAUSES = {
+    (KIND_FANO, KIND_FANO): EMB_A,
+    (KIND_FANO, KIND_INVOLUTION): EMB_B,
+    (KIND_INVOLUTION, KIND_INVOLUTION): EMB_C,
+}
+
+
+def oracle(fano, nikulin):
+    """Per pair-space, every pair as (b2, b3, mode, label1, label2, certificate), sorted."""
+    blocks = [fano_block(f) for f in fano]
+    blocks += [involution_block(t) for t in nikulin if fixed_locus(t).kind != EMPTY]
+    quartic = quartic_blowup_block()
+
+    def size(block):
+        return block.rank + block.l_bound
+
+    spaces = {
+        "emb": [
+            (CLAUSES[p.kind, q.kind], p, q)
+            for i, p in enumerate(blocks)
+            for q in blocks[i:]
+            if size(p) + size(q) < 20
+        ],
+        MIRROR: [
+            (MIRROR, involution_block(t1), involution_block(t2)) for t1, t2 in mirror_pairs(nikulin)
+        ],
+        SEQ: [(SEQ, quartic, q) for q in blocks if size(quartic) + size(q) < 20],
+    }
+    if all(nikulin.find(*key) is not None for key in LARGE_RANK_NEEDS):
+        spaces[LARGE_RANK] = [
+            (LARGE_RANK, involution_block(nikulin.find(*key)), q)
+            for key in LARGE_RANK_NEEDS[:2]
+            for q in blocks + [quartic]
+            if q.rank == 1
+        ]
+    return {
+        space: sorted(
+            (
+                (p.d + q.d, p.b3_bar + q.b3_bar + p.d + q.d + 23, mode, p.label, q.label,
+                 matching_condition(p, q))
+                for mode, p, q in pairs
+            ),
+            key=lambda row: row[:5],
+        )
+        for space, pairs in spaces.items()
+    }
+
+
+def enumerate_space(space, fano, nikulin):
+    if space == "emb":
+        return enumerate_emb(fano, nikulin)
+    if space == MIRROR:
+        return enumerate_mirror(nikulin)
+    if space == SEQ:
+        return enumerate_seq(fano, nikulin)
+    return enumerate_large_rank(fano, nikulin)
+
+
+@st.composite
+def sub_catalogs(draw, fano, nikulin):
+    """Any subset of the rows of each catalog, in catalog order.
+
+    The large-rank triples are all kept, all dropped, one of them dropped,
+    or left as drawn.
+    """
+    families = [f for f in fano if draw(st.booleans())]
+    keep = [t for t in nikulin if draw(st.booleans())]
+    needs = draw(st.sampled_from(("as drawn", "all", "none", "one missing")))
+    if needs != "as drawn":
+        missing = {
+            "all": (),
+            "none": LARGE_RANK_NEEDS,
+            "one missing": (draw(st.sampled_from(LARGE_RANK_NEEDS)),),
+        }[needs]
+        keep = [
+            t
+            for t in nikulin
+            if t.key not in missing and (t in keep or t.key in LARGE_RANK_NEEDS)
+        ]
+    return (
+        FanoCatalog(tuple(families), complete_rank_1=False),
+        NikulinCatalog(tuple(keep), complete=False),
+    )
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_census_and_records_match_the_all_pairs_oracle(fano, nikulin, data):
+    fano_cat, nikulin_cat = data.draw(sub_catalogs(fano, nikulin))
+    expected = oracle(fano_cat, nikulin_cat)
+    spaces = ("emb", MIRROR, SEQ, LARGE_RANK)
+    missing = [key for key in LARGE_RANK_NEEDS if nikulin_cat.find(*key) is None]
+    if missing:
+        message = re.escape(f"large-rank enumeration needs triple {missing[0]} in the catalog")
+        with pytest.raises(CatalogError, match=message):
+            _census(fano_cat, nikulin_cat, spaces)
+        with pytest.raises(CatalogError, match=message):
+            enumerate_large_rank(fano_cat, nikulin_cat)
+        spaces = spaces[:3]
+    census = _census(fano_cat, nikulin_cat, spaces)
+    assert list(census) == list(spaces)
+
+    joyce_pairs = {row[:2] for rows in expected.values() for row in rows[::3]} | {(1, 1)}
+    joyce = JoyceCatalog(tuple(sorted(joyce_pairs)), complete=False)
+    for space in spaces:
+        rows, classes = expected[space], census[space]
+        assert distinct_betti(classes) == tuple(sorted({row[:2] for row in rows}))
+        totals = Counter()
+        for c in classes:
+            totals[c.mode] += c.weight
+        assert totals == Counter(row[2] for row in rows)
+        assert sum(c.weight for c in classes) == len(rows)
+        assert sum(c.diagonal for c in classes) == sum(1 for row in rows if row[3] == row[4])
+        comparison = compare_joyce(classes, joyce)
+        assert comparison.mod4_violations == sum(1 for row in rows if sum(row[:2]) % 4 != 3)
+        ours = {row[:2] for row in rows}
+        assert comparison.overlap_count == len(ours & joyce_pairs)
+        assert comparison.new_count == len(ours - joyce_pairs)
+        if space == "emb":
+            by_mode = Counter(row[2] for row in rows)
+            diagonal = sum(1 for row in rows if row[3] == row[4])
+            assert count_matched_pairs(classes) == PairCounts(
+                by_mode[EMB_A], by_mode[EMB_B], by_mode[EMB_C], diagonal
+            )
+
+        records = enumerate_space(space, fano_cat, nikulin_cat)
+        assert [
+            (r.b2, r.b3, r.mode, r.blocks[0].label, r.blocks[1].label, r.certificate)
+            for r in records
+        ] == rows
+        if space == "emb":
+            assert count_matched_pairs(records) == count_matched_pairs(classes)

@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -129,6 +130,59 @@ def test_crosscheck_json(capsys):
     assert rows["euler_crosscheck"]["items"] == 74
     assert rows["closed_vs_glue"]["status"] == "OK"
     assert rows["pair_totals"]["items"] == 8211
+
+
+@pytest.fixture
+def enumerator_calls(monkeypatch):
+    """Calls of the block builders, certificates and records, as the enumerator makes them."""
+    import g2sum.enumerator as enumerator
+
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(enumerator, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in (
+        "fano_block",
+        "involution_block",
+        "quartic_blowup_block",
+        "matching_condition",
+        "G2Record",
+    ):
+        monkeypatch.setattr(enumerator, name, counted(name))
+    return calls
+
+
+def test_crosscheck_builds_one_pool_and_certifies_each_lattice_pair_once(capsys, enumerator_calls):
+    code, out, _ = run_cli(capsys, "crosscheck")
+    assert code == EXIT_OK and "8427" in out
+    # 105 Fano families, the 74 involution classes with a block, the quartic.
+    blocks = ("fano_block", "involution_block", "quartic_blowup_block")
+    assert [enumerator_calls[name] for name in blocks] == [105, 74, 1]
+    # One certificate per unordered pair of lattice classes of the four spaces.
+    assert enumerator_calls["matching_condition"] == 420
+    assert enumerator_calls["G2Record"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("table1",), ("crosscheck",)]
+    + [
+        ("betti-list", mode)
+        for mode in ("emb", "emb_a", "emb_b", "emb_c", "mirror", "seq", "large_rank")
+    ],
+    ids=" ".join,
+)
+def test_report_commands_build_no_records(capsys, enumerator_calls, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and out
+    assert enumerator_calls["G2Record"] == 0
 
 
 def test_validation_failure_exit_code(tmp_path, capsys):
@@ -447,10 +501,10 @@ def test_odd_euler_sum_fails_crosscheck_in_every_build(optimize):
 def test_internal_assertion_is_not_a_catalog_failure(monkeypatch, capsys):
     import g2sum.cli as cli
 
-    def planted(_nikulin):
+    def planted(*_catalogs_and_spaces):
         raise AssertionError("planted internal bug")
 
-    monkeypatch.setattr(cli, "enumerate_mirror", planted)
+    monkeypatch.setattr(cli, "_census", planted)
     with pytest.raises(AssertionError, match="planted internal bug"):
         main(["betti-list", "mirror"])
     err = capsys.readouterr().err
@@ -470,13 +524,13 @@ def test_main_runs_without_cyclic_gc_and_restores_it(monkeypatch, capsys, collec
     import g2sum.cli as cli
 
     seen = []
-    real = cli.enumerate_mirror
+    real = cli._census
 
-    def noting(nikulin):
+    def noting(*catalogs_and_spaces):
         seen.append(gc.isenabled())
-        return real(nikulin)
+        return real(*catalogs_and_spaces)
 
-    monkeypatch.setattr(cli, "enumerate_mirror", noting)
+    monkeypatch.setattr(cli, "_census", noting)
     assert main(["betti-list", "mirror"]) == EXIT_OK
     assert gc.isenabled() is collector
     assert seen == [False]
