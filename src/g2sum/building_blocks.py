@@ -1,4 +1,4 @@
-"""Building blocks: closed and open Betti numbers, with a cross-check.
+"""Building blocks: closed Betti numbers, with a cross-check.
 
 A building block is a smooth projective threefold fibred by K3 surfaces,
 carrying a polarizing lattice of rank ``rank`` whose discriminant group
@@ -40,8 +40,7 @@ class BuildingBlock(Frozen, ignore=("triple", "fano")):
     """
 
     __slots__ = (
-        "kind", "label", "b2_bar", "b3_bar", "d", "rank", "l_bound", "simply_connected",
-        "triple", "fano",
+        "kind", "label", "b2_bar", "b3_bar", "d", "rank", "l_bound", "triple", "fano",
     )
 
     def __init__(
@@ -53,11 +52,10 @@ class BuildingBlock(Frozen, ignore=("triple", "fano")):
         d: int,
         rank: int,
         l_bound: int,
-        simply_connected: bool = True,
         triple: NikulinTriple | None = None,
         fano: FanoFamily | None = None,
     ) -> None:
-        self._fill(kind, label, b2_bar, b3_bar, d, rank, l_bound, simply_connected, triple, fano)
+        self._fill(kind, label, b2_bar, b3_bar, d, rank, l_bound, triple, fano)
 
 
 def involution_block(t: NikulinTriple) -> BuildingBlock:
@@ -116,13 +114,6 @@ def quartic_blowup_block() -> BuildingBlock:
     )
 
 
-def open_betti(block: BuildingBlock) -> tuple[int, int]:
-    """Betti numbers (b2, b3) of the block minus one K3 fibre."""
-    b2 = block.b2_bar - 1
-    b3 = block.b3_bar + 22 - b2 + block.d
-    return (b2, b3)
-
-
 class EulerCheck(NamedTuple):
     """Both computation routes for an involution block, side by side.
 
@@ -153,7 +144,8 @@ def euler_crosscheck(t: NikulinTriple) -> EulerCheck:
     Route: the resolved quotient has h11 = r + 1 + 2*(number of fixed
     curves) and Euler characteristic e = 24 + 3 * (total Euler number of
     the fixed curves); then h12 = 1 + h11 - e/2.  These must match the
-    closed forms 3 + 2r - a and 22 - r - a.
+    ``b2_bar`` and ``b3_bar / 2`` of ``involution_block(t)``, the block
+    that the enumerator glues.
     """
     locus = fixed_locus(t)
     if locus.kind == EMPTY:
@@ -162,11 +154,12 @@ def euler_crosscheck(t: NikulinTriple) -> EulerCheck:
     euler = locus.euler_sum
     h11 = t.r + 1 + 2 * curves
     h12 = 1 + h11 - (24 + 3 * euler) // 2
+    block = involution_block(t)
     return EulerCheck(
         curve_count=curves,
         euler_sum=euler,
         h11=h11,
         h12=h12,
-        b2_bar=3 + 2 * t.r - t.a,
-        b3_bar=2 * (22 - t.r - t.a),
+        b2_bar=block.b2_bar,
+        b3_bar=block.b3_bar,
     )

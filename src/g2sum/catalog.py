@@ -368,11 +368,8 @@ def mirror_partner(t: NikulinTriple, catalog: NikulinCatalog) -> NikulinTriple |
 
 def mirror_pairs(catalog: NikulinCatalog) -> list[tuple[NikulinTriple, NikulinTriple]]:
     """All unordered mirror pairs, canonically ordered (r <= 10 first)."""
-    pairs: list[tuple[NikulinTriple, NikulinTriple]] = []
+    by_key: dict[tuple[int, int, int], NikulinTriple] = {}
     for t in catalog:
-        if t.r > 10:
-            continue
-        partner = mirror_partner(t, catalog)
-        if partner is not None:
-            pairs.append((t, partner))
-    return pairs
+        by_key.setdefault(t.key, t)  # the row ``NikulinCatalog.find`` returns
+    partners = ((t, by_key.get(mirror_key(t))) for t in catalog if t.r <= 10)
+    return [(t, partner) for t, partner in partners if partner is not None]

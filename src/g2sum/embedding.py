@@ -49,13 +49,11 @@ class MatchCertificate(NamedTuple):
     """Which matching conditions a block pair is known to satisfy.
 
     ``condition`` is COND_A, COND_B, BOTH or NONE.  ``verdict_a`` explains
-    the condition-A decision (numeric or special rule); ``rank_bound_b``
-    records the max-rank <= 10 check.
+    the condition-A decision (numeric or special rule).
     """
 
     condition: str
     verdict_a: EmbeddingVerdict
-    rank_bound_b: bool
 
     @property
     def has_cond_a(self) -> bool:
@@ -167,5 +165,5 @@ def matching_condition(b1: "BuildingBlock", b2: "BuildingBlock") -> MatchCertifi
         condition = COND_B
     else:
         condition = NONE
-    return MatchCertificate(condition=condition, verdict_a=verdict, rank_bound_b=cond_b)
+    return MatchCertificate(condition=condition, verdict_a=verdict)
 

@@ -1,15 +1,15 @@
 """Enumeration of matched block pairs and their 7-manifold Betti numbers.
 
-Gluing two blocks along a K3 fibre with an ``n``-dimensional common
-polarizing intersection gives a closed 7-manifold with
+Gluing two blocks along a K3 fibre, with polarizing lattices that meet
+only in zero, gives a closed 7-manifold with
 
-    b2(M) = n + d1 + d2,
-    b3(M) = b3_bar1 + b3_bar2 + b2(M) - 2n + 23.
+    b2(M) = d1 + d2,
+    b3(M) = b3_bar1 + b3_bar2 + b2(M) + 23.
 
-Every enumeration here uses n = 0 and is a *pair-space*: a set of block
-pairs drawn from one pool, built once per census in catalog order (each
-Fano family, each involution class but the fixed-point-free (10,10,0), then
-the quartic blow-up block).  A block's *size* is ``rank + l_bound``; a pair of
+Every enumeration here is a *pair-space*: a set of block pairs drawn from
+one pool, built once per census in catalog order (each Fano family, each
+involution class but the fixed-point-free (10,10,0), then the quartic
+blow-up block).  A block's *size* is ``rank + l_bound``; a pair of
 total size below 20 passes the numeric embedding criterion.
 
 * ``emb``         every unordered pool pair of size below 20, the quartic
@@ -44,10 +44,13 @@ A record's Betti numbers come from ``glue_betti`` alone and are checked
 against a closed form summed per block from the catalog row, with
 b2 = d1 + d2 and b3 = e1 + e2 + 23 for the block shares (d, e): Fano
 (0, g + 2), involution (2 + r - a, 46 - r - 3a), quartic (3, 27).  Each
-certificate must carry condition A.  Both identities are enforced by
-explicit checks that raise ``IdentityError`` in every build, ``python -O``
-included, at the first pair class that breaks them; the identities are
-structural, so a failure means a transcription bug.
+certificate must carry condition A.  Each pair must keep the rank
+condition: (b2_bar - 1 - d) summed over its two blocks is at most 22.  That
+quantity is a block's rank (0 for the quartic), and every pair-space keeps
+the rank sum at most 20.  The three identities are enforced by explicit
+checks that raise ``IdentityError`` in every build, ``python -O``
+included, at the first pair class that breaks one; they are structural,
+so a failure means a transcription bug.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from .building_blocks import (
     BuildingBlock,
     fano_block,
     involution_block,
-    open_betti,
     quartic_blowup_block,
 )
 from .catalog import (
@@ -83,32 +85,15 @@ MIRROR = "MIRROR"
 SEQ = "SEQ"
 LARGE_RANK = "LARGE_RANK"
 
-UNVERIFIED = "UNVERIFIED"
-
 
 class IdentityError(RuntimeError):
     """A structural identity failed for an enumerated record.
 
-    Raised when a record's closed form and gluing formula disagree, or when
-    a pair admitted by its clause lacks condition A.  Either is a bug in
-    the program, never in the catalog data.
+    Raised when a record's closed form and gluing formula disagree, when a
+    pair breaks the rank condition, or when a pair admitted by its clause
+    lacks condition A.  Each is a bug in the program, never in the catalog
+    data.
     """
-
-
-class GlueResult(NamedTuple):
-    """Betti numbers of one gluing, with the rank-condition outcome."""
-
-    b2: int
-    b3: int
-    rank_condition_ok: bool
-
-    @property
-    def betti(self) -> tuple[int, int]:
-        return (self.b2, self.b3)
-
-    @property
-    def flags(self) -> tuple[str, ...]:
-        return () if self.rank_condition_ok else (UNVERIFIED,)
 
 
 class G2Record(NamedTuple):
@@ -117,22 +102,12 @@ class G2Record(NamedTuple):
     b2: int
     b3: int
     mode: str
-    n: int
     certificate: MatchCertificate
     blocks: tuple[BuildingBlock, BuildingBlock]
-    flags: tuple[str, ...] = ()
 
     @property
     def betti(self) -> tuple[int, int]:
         return (self.b2, self.b3)
-
-    @property
-    def simply_connected(self) -> bool:
-        return self.blocks[0].simply_connected and self.blocks[1].simply_connected
-
-    @property
-    def verified(self) -> bool:
-        return UNVERIFIED not in self.flags
 
     @property
     def weight(self) -> int:
@@ -145,22 +120,15 @@ class G2Record(NamedTuple):
         return 1 if self.blocks[0] == self.blocks[1] else 0
 
 
-def glue_betti(block1: BuildingBlock, block2: BuildingBlock, n: int = 0) -> GlueResult:
-    """Betti numbers of the glued 7-manifold for an n-dimensional matching.
+def glue_betti(block1: BuildingBlock, block2: BuildingBlock) -> tuple[int, int]:
+    """Betti numbers (b2, b3) of the 7-manifold glued from two blocks.
 
-    The result is flagged rather than rejected when the rank condition
-    b2(W1) - d1 + b2(W2) - d2 <= 22 fails, since the gluing formulas are
-    still well-defined numbers; callers must treat such results as
-    unverified.
+    The formula needs the rank condition, (b2_bar - 1 - d) summed over both
+    blocks at most 22; the census checks it as an identity for each pair
+    class it decides.
     """
-    if n < 0:
-        raise LatticeError(f"matching dimension n must be >= 0, got {n}")
-    b2 = n + block1.d + block2.d
-    b3 = block1.b3_bar + block2.b3_bar + b2 - 2 * n + 23
-    open1 = open_betti(block1)[0]
-    open2 = open_betti(block2)[0]
-    ok = (open1 - block1.d) + (open2 - block2.d) <= 22
-    return GlueResult(b2, b3, ok)
+    b2 = block1.d + block2.d
+    return (b2, block1.b3_bar + block2.b3_bar + b2 + 23)
 
 
 class _Entry(NamedTuple):
@@ -186,7 +154,7 @@ class PairClass(NamedTuple):
 
     ``groups`` holds the two classes, each a tuple of pool entries in pool
     order; every pair of a member of the first with a member of the second
-    shares the outcome ``(b2, b3, mode, certificate, flags)``.  When both
+    shares the outcome ``(b2, b3, mode, certificate)``.  When both
     are one group its pairs are a member with itself or with a later
     member.  ``weight`` counts the pairs and ``diagonal`` those of a block
     with itself.
@@ -196,7 +164,6 @@ class PairClass(NamedTuple):
     b3: int
     mode: str
     certificate: MatchCertificate
-    flags: tuple[str, ...]
     weight: int
     diagonal: int
     groups: tuple[tuple[_Entry, ...], tuple[_Entry, ...]]
@@ -296,18 +263,23 @@ def _census(
                         f"{mode} pair lost condition A: {block1.label} x {block2.label}"
                     )
                 certificates[key] = certificate
-            glue = glue_betti(block1, block2, 0)
-            b2, b3, _ = glue
+            b2, b3 = glue = glue_betti(block1, block2)
             (d1, e1), (d2, e2) = p.share, q.share
             if b2 != d1 + d2 or b3 != e1 + e2 + 23:
                 raise IdentityError(
                     f"closed-form/glue disagreement in {mode} for "
                     f"{block1.label} x {block2.label}: "
-                    f"closed {(d1 + d2, e1 + e2 + 23)}, glued {glue.betti}"
+                    f"closed {(d1 + d2, e1 + e2 + 23)}, glued {glue}"
+                )
+            excess = block1.b2_bar - 1 - block1.d + block2.b2_bar - 1 - block2.d
+            if excess > 22:
+                raise IdentityError(
+                    f"{mode} pair {block1.label} x {block2.label} breaks the rank "
+                    f"condition: (b2_bar - 1 - d) sums to {excess} > 22"
                 )
             if space == MIRROR and b3 != 3 * b2 + 23:
                 raise IdentityError(
-                    f"mirror pair {block1.label} x {block2.label} gives {glue.betti}, "
+                    f"mirror pair {block1.label} x {block2.label} gives {glue}, "
                     "off the line b3 = 3 b2 + 23"
                 )
             m = len(first)
@@ -315,9 +287,7 @@ def _census(
                 weight, diagonal = m * (m + 1) // 2, m
             else:
                 weight, diagonal = m * len(second), 0
-            classes.append(
-                PairClass(b2, b3, mode, certificate, glue.flags, weight, diagonal, (first, second))
-            )
+            classes.append(PairClass(b2, b3, mode, certificate, weight, diagonal, (first, second)))
     return census
 
 
@@ -337,7 +307,7 @@ def _enumerate(space: str, fano: Sequence[FanoFamily], nikulin: NikulinCatalog) 
     records: list[G2Record] = []
     keys: list[int] = []
     emb = space == "emb"
-    for b2, b3, mode, certificate, flags, _, _, (first, second) in classes:
+    for b2, b3, mode, certificate, _, _, (first, second) in classes:
         if first is second:
             pairs = [(p, q) for i, p in enumerate(first) for q in first[i:]]
         elif emb:
@@ -346,7 +316,7 @@ def _enumerate(space: str, fano: Sequence[FanoFamily], nikulin: NikulinCatalog) 
             pairs = [(p, q) for p in first for q in second]
         base = ranks[b2, b3, mode] * width
         for p, q in pairs:
-            records.append(G2Record(b2, b3, mode, 0, certificate, (p.block, q.block), flags))
+            records.append(G2Record(b2, b3, mode, certificate, (p.block, q.block)))
             keys.append((base + p.order) * width + q.order)
     # Sorting indices on the keys alone never compares two records.
     return [records[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]

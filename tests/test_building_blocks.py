@@ -2,14 +2,15 @@
 
 import pytest
 
+import g2sum.building_blocks as building_blocks
 from g2sum.building_blocks import (
     KIND_BLOWUP,
     KIND_FANO,
     KIND_INVOLUTION,
+    BuildingBlock,
     euler_crosscheck,
     fano_block,
     involution_block,
-    open_betti,
     quartic_blowup_block,
 )
 from g2sum.catalog import NikulinTriple
@@ -22,7 +23,6 @@ def test_involution_block_formulas(nikulin):
     assert (blk.rank, blk.l_bound) == (10, 8)
     assert blk.kind == KIND_INVOLUTION
     assert blk.label == "involution(10,8,0)"
-    assert blk.simply_connected
 
     blk = involution_block(nikulin.find(18, 0, 0))
     assert (blk.b2_bar, blk.b3_bar, blk.d) == (39, 8, 20)
@@ -68,23 +68,6 @@ def test_quartic_blowup_block():
     assert q.kind == KIND_BLOWUP
 
 
-def test_open_betti_examples(nikulin, fano):
-    p3 = fano_block(next(f for f in fano.families if f.id == "P3"))
-    assert open_betti(p3) == (1, 87)
-    assert open_betti(involution_block(nikulin.find(10, 8, 0))) == (14, 20)
-    assert open_betti(quartic_blowup_block()) == (3, 46)
-
-
-def test_open_betti_formula(nikulin, fano):
-    blocks = [involution_block(t) for t in nikulin.triples if t.key != (10, 10, 0)]
-    blocks += [fano_block(f) for f in fano.families]
-    blocks.append(quartic_blowup_block())
-    for blk in blocks:
-        b2, b3 = open_betti(blk)
-        assert b2 == blk.b2_bar - 1
-        assert b3 == blk.b3_bar + 22 - b2 + blk.d
-
-
 def test_euler_crosscheck_worked_example(nikulin):
     ec = euler_crosscheck(nikulin.find(17, 1, 1))
     assert ec.curve_count == 9
@@ -109,6 +92,21 @@ def test_euler_crosscheck_all_triples(nikulin):
         assert euler_crosscheck(t).ok, t.key
         checked += 1
     assert checked == 74
+
+
+def test_euler_crosscheck_tests_the_glued_block(monkeypatch, nikulin):
+    t = nikulin.find(17, 1, 1)
+    ec, blk = euler_crosscheck(t), involution_block(t)
+    assert (ec.b2_bar, ec.b3_bar) == (blk.b2_bar, blk.b3_bar)
+
+    def shifted(triple):
+        b = involution_block(triple)
+        return BuildingBlock(
+            b.kind, b.label, b.b2_bar, b.b3_bar + 2, b.d, b.rank, b.l_bound, b.triple, b.fano
+        )
+
+    monkeypatch.setattr(building_blocks, "involution_block", shifted)
+    assert not euler_crosscheck(t).ok
 
 
 def test_euler_crosscheck_rejects_free_class():

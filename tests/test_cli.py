@@ -371,9 +371,9 @@ from g2sum.cli import main
 real_glue_betti = enumerator.glue_betti
 
 
-def shifted_glue_betti(block1, block2, n=0):
-    glue = real_glue_betti(block1, block2, n)
-    return enumerator.GlueResult(glue.b2, glue.b3 + 4, glue.rank_condition_ok)
+def shifted_glue_betti(block1, block2):
+    b2, b3 = real_glue_betti(block1, block2)
+    return (b2, b3 + 4)
 
 
 enumerator.glue_betti = shifted_glue_betti
@@ -396,8 +396,7 @@ real_involution_block = enumerator.involution_block
 def shifted_involution_block(t):
     b = real_involution_block(t)
     return BuildingBlock(
-        b.kind, b.label, b.b2_bar, b.b3_bar + 2, b.d, b.rank, b.l_bound,
-        b.simply_connected, b.triple, b.fano,
+        b.kind, b.label, b.b2_bar, b.b3_bar + 2, b.d, b.rank, b.l_bound, b.triple, b.fano
     )
 
 
@@ -420,11 +419,36 @@ real_matching_condition = enumerator.matching_condition
 
 def cond_b_only(block1, block2):
     if block1.fano is not None and block2.fano is not None and block1.rank == block2.rank == 1:
-        return MatchCertificate(COND_B, EmbeddingVerdict(INCONCLUSIVE, "numeric"), True)
+        return MatchCertificate(COND_B, EmbeddingVerdict(INCONCLUSIVE, "numeric"))
     return real_matching_condition(block1, block2)
 
 
 enumerator.matching_condition = cond_b_only
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+# A bug planted in a block formula that breaks the rank condition: every
+# Fano block's b2_bar raised by 23.  The closed form does not read b2_bar, so
+# only the rank check can catch it.
+PLANTED_RANK_BUG = """
+import sys
+import g2sum.enumerator as enumerator
+from g2sum.building_blocks import BuildingBlock
+from g2sum.cli import main
+
+real_fano_block = enumerator.fano_block
+
+
+def inflated_fano_block(f):
+    b = real_fano_block(f)
+    return BuildingBlock(
+        b.kind, b.label, b.b2_bar + 23, b.b3_bar, b.d, b.rank, b.l_bound,
+        triple=b.triple, fano=b.fano,
+    )
+
+
+enumerator.fano_block = inflated_fano_block
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -441,8 +465,25 @@ sys.exit(main(sys.argv[1:]))
             ("betti-list", "emb"),
             r"(?m)^g2sum: EMB_A pair lost condition A: fano\(\S+\) x fano\(\S+\)$",
         ),
+        (
+            PLANTED_RANK_BUG,
+            ("betti-list", "emb"),
+            r"(?m)^g2sum: EMB_A pair fano\(P3\) x fano\(P3\) breaks the rank condition",
+        ),
+        (
+            PLANTED_RANK_BUG,
+            ("crosscheck",),
+            r"(?m)^g2sum: EMB_A pair fano\(P3\) x fano\(P3\) breaks the rank condition",
+        ),
     ],
-    ids=["betti-list emb", "crosscheck", "block-bug betti-list mirror", "cond-a betti-list emb"],
+    ids=[
+        "betti-list emb",
+        "crosscheck",
+        "block-bug betti-list mirror",
+        "cond-a betti-list emb",
+        "rank-bug betti-list emb",
+        "rank-bug crosscheck",
+    ],
 )
 def test_identity_failure_exits_1_in_every_build(optimize, planted, argv, message):
     proc = subprocess.run(

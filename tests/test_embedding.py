@@ -110,7 +110,7 @@ def test_large_rank_times_rank_one_fano(nikulin, fano_rank_one):
         cert = matching_condition(b18, fano_block(fam))
         assert cert.condition == COND_A
         assert cert.verdict_a.rule == "large-rank-rank-one"
-        assert not cert.rank_bound_b
+        assert not cert.has_cond_b
 
 
 def test_self_pair_10_8_0(nikulin):
@@ -119,7 +119,7 @@ def test_self_pair_10_8_0(nikulin):
     # the rank bound holds, and the mirror rule rescues condition A even
     # though the numeric criterion alone is inconclusive (10+10+8+8 >= 20)
     assert cert.condition == BOTH
-    assert cert.rank_bound_b
+    assert cert.has_cond_b
     assert cert.verdict_a.rule == "mirror-pair"
     numeric = embeds_in_2e8_2h([(10, 8, Signature(1, 9))] * 2)
     assert numeric.status == INCONCLUSIVE

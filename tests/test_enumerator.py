@@ -19,9 +19,8 @@ from g2sum.enumerator import (
     LARGE_RANK,
     MIRROR,
     SEQ,
-    UNVERIFIED,
     G2Record,
-    GlueResult,
+    IdentityError,
     compare_joyce,
     count_matched_pairs,
     distinct_betti,
@@ -32,7 +31,6 @@ from g2sum.enumerator import (
     glue_betti,
 )
 from g2sum.embedding import matching_condition
-from g2sum.lattice_core import LatticeError
 
 MIRROR_BETTI = [(4, 35), (6, 41), (8, 47), (10, 53), (12, 59), (14, 65),
                 (16, 71), (18, 77), (20, 83), (22, 89), (24, 95)]
@@ -53,10 +51,9 @@ LARGE_RANK_B20 = [75, 77, 79, 83, 87, 89, 91, 93, 99, 103, 107, 117, 159]
 
 
 def _record(block1, block2):
-    """The record of the n = 0 gluing of two blocks, built as the enumerator builds one."""
-    glue = glue_betti(block1, block2)
-    certificate = matching_condition(block1, block2)
-    return G2Record(glue.b2, glue.b3, "GLUED", 0, certificate, (block1, block2), glue.flags)
+    """The record of the gluing of two blocks, built as the enumerator builds one."""
+    b2, b3 = glue_betti(block1, block2)
+    return G2Record(b2, b3, "GLUED", matching_condition(block1, block2), (block1, block2))
 
 
 def by_b2(pairs):
@@ -71,72 +68,54 @@ def by_b2(pairs):
 
 def test_glue_two_p3_blocks(fano):
     p3 = fano_block(next(f for f in fano.families if f.id == "P3"))
-    glue = glue_betti(p3, p3)
-    assert glue.betti == (0, 155)
-    assert glue.rank_condition_ok
-    assert glue.flags == ()
+    assert glue_betti(p3, p3) == (0, 155)
 
 
 def test_glue_large_rank_with_small(nikulin):
     b18 = involution_block(nikulin.find(18, 0, 0))
     b111 = involution_block(nikulin.find(1, 1, 1))
-    assert glue_betti(b18, b111).betti == (22, 93)
+    assert glue_betti(b18, b111) == (22, 93)
 
 
-def test_glue_offset_shifts_b2(fano):
-    p3 = fano_block(next(f for f in fano.families if f.id == "P3"))
-    base = glue_betti(p3, p3, 0)
-    shifted = glue_betti(p3, p3, 2)
-    assert shifted.b2 == base.b2 + 2
-    assert shifted.b3 == base.b3 - 2  # b2 + b3 is independent of the twist
-    with pytest.raises(LatticeError, match="must be >= 0"):
-        glue_betti(p3, p3, -1)
+def rank_excess(block):
+    """A block's share of the rank condition: its rank, 0 for the quartic."""
+    return block.b2_bar - 1 - block.d
 
 
-def test_glue_rank_condition_violation(nikulin):
+def test_glue_rank_condition_violation(monkeypatch, nikulin):
+    # No pair-space admits (18,0,0) with itself: its rank sum 36 is over 22.
     b18 = involution_block(nikulin.find(18, 0, 0))
-    glue = glue_betti(b18, b18)
-    assert glue.betti == (40, 79)
-    assert not glue.rank_condition_ok
-    assert UNVERIFIED in glue.flags
+    assert glue_betti(b18, b18) == (40, 79)
+    assert 2 * rank_excess(b18) == 36
+    # A block formula that breaks the rank condition for mirror pairs, whose
+    # ranks sum to 20, is refused by the census.
+    real = enumerator_mod.involution_block
 
+    def inflated(t):
+        b = real(t)
+        return BuildingBlock(
+            b.kind, b.label, b.b2_bar + 3, b.b3_bar, b.d, b.rank, b.l_bound, b.triple, b.fano
+        )
 
-def test_generic_record_carries_flags(nikulin):
-    b18 = involution_block(nikulin.find(18, 0, 0))
-    rec = _record(b18, b18)
-    assert rec.betti == (40, 79)
-    assert UNVERIFIED in rec.flags
-    assert not rec.verified
-    ok = _record(involution_block(nikulin.find(2, 0, 0)), b18)
-    assert ok.verified and ok.flags == ()
+    monkeypatch.setattr(enumerator_mod, "involution_block", inflated)
+    with pytest.raises(IdentityError, match=r"^MIRROR pair \S+ x \S+ breaks the rank condition"):
+        enumerate_mirror(nikulin)
 
 
 def test_record_api(nikulin, emb_records):
     b18 = involution_block(nikulin.find(18, 0, 0))
     b200 = involution_block(nikulin.find(2, 0, 0))
-    glue = GlueResult(40, 79, False)
-    assert (glue.b2, glue.b3, glue.rank_condition_ok) == (40, 79, False)
-    assert glue == glue_betti(b18, b18)
-    assert glue.betti == (40, 79) and glue.flags == (UNVERIFIED,)
-    assert GlueResult(2, 5, True).flags == ()
-
     rec = _record(b18, b200)
-    assert (rec.b2, rec.mode, rec.n, rec.blocks) == (24, "GLUED", 0, (b18, b200))
-    assert rec.betti == (24, 95) and rec.flags == () and rec.verified
-    assert rec.simply_connected is True
-    fundamental_group = BuildingBlock(
-        b200.kind, b200.label, b200.b2_bar, b200.b3_bar, b200.d, b200.rank, b200.l_bound,
-        simply_connected=False, triple=b200.triple,
-    )
-    assert _record(b18, fundamental_group).simply_connected is False
+    assert (rec.b2, rec.b3, rec.mode, rec.blocks) == (24, 95, "GLUED", (b18, b200))
+    assert rec.betti == (24, 95) and rec.certificate.has_cond_a
+    assert (rec.weight, rec.diagonal, _record(b18, b18).diagonal) == (1, 0, 1)
 
-    for obj, name in ((glue, "b3"), (glue, "rank_condition_ok"), (rec, "b2"), (rec, "flags")):
+    for name in ("b2", "certificate"):
         with pytest.raises(AttributeError):
-            setattr(obj, name, None)
+            setattr(rec, name, None)
     again = _record(b18, b200)
     assert rec == again and hash(rec) == hash(again)
     assert len({rec, again, _record(b200, b18)}) == 2
-    assert len({glue, GlueResult(40, 79, False)}) == 1
     assert len(set(emb_records)) == 8211
 
 
@@ -153,10 +132,10 @@ def test_mirror_records(nikulin):
 
 
 def test_mirror_every_record_verified(nikulin):
+    # The rank condition is tightest on the mirror pairs: r + (20 - r) = 20.
     for r in enumerate_mirror(nikulin):
-        assert r.verified
-        assert r.flags == ()
-        assert r.simply_connected
+        assert sum(map(rank_excess, r.blocks)) == sum(b.rank for b in r.blocks) == 20
+        assert glue_betti(*r.blocks) == r.betti
 
 
 # --- large-rank mode -------------------------------------------------------------
@@ -244,7 +223,6 @@ def test_emb_diagonal_means_equal_blocks(emb_records):
 
 def test_emb_certificates_all_condition_a(emb_records):
     assert all(r.certificate.has_cond_a for r in emb_records)
-    assert all(r.verified for r in emb_records)
 
 
 def lattice_class(block):

@@ -28,7 +28,18 @@ REMOVED = (
     "rescale",
     "delta_invariant",
     "_RANK1_NAME",
+    "UNVERIFIED",
+    "GlueResult",
+    "open_betti",
 )
+
+# Fields and properties deleted from the records that still exist.
+REMOVED_ATTRIBUTES = {
+    g2sum.enumerator.G2Record: ("n", "flags", "verified", "simply_connected"),
+    g2sum.enumerator.PairClass: ("flags",),
+    g2sum.building_blocks.BuildingBlock: ("simply_connected",),
+    g2sum.embedding.MatchCertificate: ("rank_bound_b",),
+}
 
 
 def test_every_exported_name_resolves_once():
@@ -45,3 +56,6 @@ def test_removed_names_stay_removed():
     for name in ("without", "rank_one"):
         assert not hasattr(g2sum.catalog.FanoCatalog, name)
     assert hasattr(g2sum.lattice_core.IntLattice, "rescale")
+    for cls, names in REMOVED_ATTRIBUTES.items():
+        for name in names:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"

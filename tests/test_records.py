@@ -24,7 +24,7 @@ T_200 = NikulinTriple(2, 0, 0, source="U")
 
 
 def _block(triple=None, fano=None, d=4):
-    return BuildingBlock("INVOLUTION", "involution(2,0,0)", 7, 40, d, 2, 0, True, triple, fano)
+    return BuildingBlock("INVOLUTION", "involution(2,0,0)", 7, 40, d, 2, 0, triple, fano)
 
 
 def _lattice_with_smith_form():
