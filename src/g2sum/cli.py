@@ -14,8 +14,9 @@ Subcommands:
                         condition once per pair class of all four
                         pair-spaces, decided over one pool.
 
-``betti-list``, ``table1`` and ``crosscheck`` read the pair classes of the
-enumerator's census and their weights; only ``enumerate`` builds records.
+Every command reads the pair classes of the enumerator's census, and none
+builds a record: ``betti-list``, ``table1`` and ``crosscheck`` read the
+classes' weights, and ``enumerate`` renders the classes' record order.
 
 Data rows go to stdout, diagnostics to stderr.  Exit status: 0 success,
 1 bad catalog data or an identity failure, 2 a catalog that cannot be
@@ -26,7 +27,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import os
 import sys
@@ -57,17 +57,17 @@ from .enumerator import (
     LARGE_RANK,
     MIRROR,
     SEQ,
-    G2Record,
     IdentityError,
     PairClass,
     _census,
+    _record_order,
     compare_joyce,  # patched by spans.install_cli
     count_matched_pairs,  # patched by spans.install_cli
     distinct_betti,  # patched by spans.install_cli
-    enumerate_emb,  # patched by spans.install_cli
-    enumerate_large_rank,  # patched by spans.install_cli
-    enumerate_mirror,  # patched by spans.install_cli
-    enumerate_seq,  # patched by spans.install_cli
+    enumerate_emb,  # patched by spans.install_cli; no command calls it
+    enumerate_large_rank,  # patched by spans.install_cli; no command calls it
+    enumerate_mirror,  # patched by spans.install_cli; no command calls it
+    enumerate_seq,  # patched by spans.install_cli; no command calls it
 )
 
 EXIT_OK = 0
@@ -159,83 +159,104 @@ def _json_list(items: Sequence) -> str:
     return "[\n        " + body + "\n      ]"
 
 
-_PLAIN = {bool: str, int: str, str: None, tuple: _joined}
-# Per format, the converter for a column by the type of its cells; None
-# keeps the cells as they are (``%s`` prints an int as json does).
-_CONVERTERS = {
-    "text": _PLAIN,
-    "csv": _PLAIN,
-    "json": {**_JSON_SCALAR, int: None, tuple: _json_list},
+def _plain(value) -> str:
+    return _joined(value) if type(value) is tuple else str(value)
+
+
+def _csv_cell(value) -> str:
+    text = _plain(value)
+    if '"' in text or "," in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _json_cell(value) -> str:
+    return _json_list(value) if type(value) is tuple else _JSON_SCALAR[type(value)](value)
+
+
+# Per format: a cell's text, and what opens a line, separates two cells and closes a line.
+_FORMATS = {
+    "text": (_plain, "", "  ", "\n"),
+    "csv": (_csv_cell, "", ",", "\r\n"),
+    "json": (_json_cell, ",\n    {\n", ",\n", "\n    }"),
 }
 
 
-def _write_rows(rows: Sequence[tuple], fields: Sequence[str], fmt: str) -> None:
-    """Write ``rows``, tuples in ``fields`` order, to stdout as text, csv or json.
+def _write_positions(
+    positions: Sequence[tuple[Sequence[tuple] | dict[int, tuple], Sequence[int]]],
+    fields: Sequence[str],
+    fmt: str,
+) -> None:
+    """Write a dictionary-encoded table to stdout as text, csv or json.
 
-    The cells of one column share a type; a sequence cell is a tuple whose
-    items share a type.  Each column is converted as a whole, every row is
-    filled into one template, and the lines are streamed to stdout rather
-    than joined, so the rendered output is never held whole.  The bytes are
-    those of ``csv.DictWriter``, of ``json.dump({"rows": [...]}, indent=2)``
-    plus a newline, and of a text table left-justified to each column's
-    widest cell.
+    The positions cover ``fields`` left to right.  A position is a run of
+    consecutive fields, given as ``(parts, index)``: ``parts`` maps small
+    non-negative ints to the run's distinct cell tuples, and ``index`` holds
+    one key of ``parts`` per line.  A sequence cell is a tuple.  Only the
+    parts some line uses are rendered, each once, into its segment of a
+    line; in text only they set the column widths.  A position whose lines
+    all use one part joins the run before it.  Each line is the
+    concatenation of its segments, and the lines are streamed to stdout
+    rather than joined, so the rendered output is never held whole.  The
+    bytes are those of ``csv.writer``, of ``json.dump({"rows": [...]},
+    indent=2)`` plus a newline, and of a text table left-justified to each
+    column's widest cell.
     """
     out = sys.stdout
-    converters = _CONVERTERS[fmt]
+    cell, begin, sep, end = _FORMATS[fmt]
+    runs = []  # per kept position: its first field, the cells of each used part, its index
+    start = 0
+    for parts, index in positions:
+        cells = {j: [cell(v) for v in parts[j]] for j in set(index)}
+        if len(cells) == 1 and runs:
+            (tail,) = cells.values()
+            for run in runs[-1][1].values():
+                run += tail
+        else:
+            runs.append((start, cells, index))
+        start += len(next(iter(cells.values()), ()))
+    # A text cell is padded to its column's width; a json cell follows its key.
+    widths = [len(f) if fmt == "text" else 0 for f in fields]
+    keys = [f"      {encode_basestring_ascii(f)}: " if fmt == "json" else "" for f in fields]
+    if fmt == "text":
+        for start, cells, _ in runs:
+            for run in cells.values():
+                for i, text in enumerate(run, start):
+                    widths[i] = max(widths[i], len(text))
+
+    def segment(start: int, run: list[str]) -> str:
+        body = sep.join([keys[i] + text.ljust(widths[i]) for i, text in enumerate(run, start)])
+        if fmt == "csv" and len(fields) == 1 and not body:
+            body = '""'  # csv.writer quotes a row whose only field is empty
+        return (sep if start else begin) + body + (end if start + len(run) == len(fields) else "")
+
     columns = []
-    for column in zip(*rows) if rows else [()] * len(fields):
-        convert = converters[type(column[0])] if column else None
-        if convert is not None:
-            # Each distinct value is converted once; equal cells share its string.
-            encoded = {cell: convert(cell) for cell in set(column)}
-            column = list(map(encoded.__getitem__, column))
-        columns.append(column)
-    lines = zip(*columns)
-    if fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(fields)
-        writer.writerows(lines)
-    elif fmt == "json":
-        template = (
-            "    {\n"
-            + ",\n".join(
-                f"      {encode_basestring_ascii(f).replace('%', '%%')}: %s" for f in fields
-            )
-            + "\n    }"
-        )
-        first = next(lines, None)
-        if first is None:
-            out.write('{\n  "rows": []\n}\n')
-            return
-        out.write('{\n  "rows": [\n' + template % first)
-        out.writelines(map((",\n" + template).__mod__, lines))
-        out.write("\n  ]\n}\n")
-    else:
-        widths = [max([len(f), *map(len, c)]) for f, c in zip(fields, columns)]
-        template = "  ".join(f"%-{w}s" for w in widths) + "\n"
-        out.write(template % tuple(fields))
-        out.writelines(map(template.__mod__, lines))
+    for start, cells, index in runs:
+        segments = [""] * (max(cells, default=-1) + 1)
+        for j, run in cells.items():
+            segments[j] = segment(start, run)
+        columns.append(map(segments.__getitem__, index))
+    lines = map("".join, zip(*columns))
+    if fmt != "json":
+        out.write(segment(0, [cell(f) for f in fields]))
+        out.writelines(lines)
+        return
+    first = next(lines, None)
+    if first is None:
+        out.write('{\n  "rows": []\n}\n')
+        return
+    out.write('{\n  "rows": [\n')
+    out.write(first[len(",\n") :])  # no separator before the first record
+    out.writelines(lines)
+    out.write("\n  ]\n}\n")
 
 
-def _record_rows(records: Sequence[G2Record]) -> list[tuple]:
-    # Every pair glues with n = 0 from simply connected blocks and keeps the
-    # rank condition, so the n, simply_connected and flags columns are constant.
-    return [
-        (
-            r.b2,
-            r.b3,
-            r.mode,
-            0,
-            r.certificate.condition,
-            r.blocks[0].label,
-            r.blocks[1].label,
-            True,
-            (),
-        )
-        for r in records
-    ]
+def _write_rows(rows: Sequence[tuple], fields: Sequence[str], fmt: str) -> None:
+    """Write ``rows``, tuples in ``fields`` order: one position whose index is the identity."""
+    _write_positions([(rows, range(len(rows)))], fields, fmt)
 
 
+_RECORD_FIELDS = tuple("b2 b3 mode n condition block1 block2 simply_connected flags".split())
 _SPACES = {"mirror": MIRROR, "seq": SEQ, "large_rank": LARGE_RANK}
 _EMB_CLAUSES = {"emb_a": EMB_A, "emb_b": EMB_B, "emb_c": EMB_C}
 
@@ -244,18 +265,6 @@ def _of_clause(mode: str, rows: list) -> list:
     """The ``rows`` of the emb clause that ``mode`` names; all of them for any other mode."""
     clause = _EMB_CLAUSES.get(mode)
     return rows if clause is None else [r for r in rows if r.mode == clause]
-
-
-def _mode_records(
-    mode: str, nikulin: NikulinCatalog, fano: FanoCatalog
-) -> list[G2Record]:
-    if mode == "mirror":
-        return enumerate_mirror(nikulin)
-    if mode == "seq":
-        return enumerate_seq(fano, nikulin)
-    if mode == "large_rank":
-        return enumerate_large_rank(fano, nikulin)
-    return _of_clause(mode, enumerate_emb(fano, nikulin))
 
 
 def _mode_classes(
@@ -283,19 +292,25 @@ def _cmd_enumerate(
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
 ) -> int:
-    records = _mode_records(args.mode, nikulin, fano)
-    fields = (
-        "b2",
-        "b3",
-        "mode",
-        "n",
-        "condition",
-        "block1",
-        "block2",
-        "simply_connected",
-        "flags",
-    )
-    _write_rows(_record_rows(records), fields, args.format)
+    classes = _mode_classes(args.mode, nikulin, fano)
+    order = _record_order(classes, len(fano) + len(nikulin) + 1)
+    # Every pair glues with n = 0 from simply connected blocks and keeps the
+    # rank condition, so the n, simply_connected and flags cells are constant.
+    heads: dict[tuple, int] = {}
+    head_of = [
+        heads.setdefault((c.b2, c.b3, c.mode, 0, c.certificate.condition), len(heads))
+        for c in classes
+    ]
+    # Classes share their groups, so each label is read once per distinct group.
+    groups = {id(g): g for c in classes for g in c.groups}
+    labels = {e.order: (e.block.label,) for g in groups.values() for e in g}
+    positions = [
+        (list(heads), [head_of[i] for i, _, _ in order]),
+        (labels, [p.order for _, p, _ in order]),
+        (labels, [q.order for _, _, q in order]),
+        ([(True, ())], [0] * len(order)),
+    ]
+    _write_positions(positions, _RECORD_FIELDS, args.format)
     return EXIT_OK
 
 

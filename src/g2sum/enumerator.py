@@ -35,10 +35,12 @@ decided ``PairClass`` carries its *weight*, the number of block pairs it
 stands for: m * m' for two groups of m and m' blocks, m (m + 1) / 2 for a
 group of m paired with itself, m of them *diagonal* (a block with itself).
 
-Two readers sit on the census.  ``enumerate_*`` expand each class into its
-``G2Record``s in a fixed order.  ``distinct_betti``, ``count_matched_pairs``
-and ``compare_joyce`` read weighted rows, a class or a record, which is a
-row of weight 1, so the reports never build the records.
+Two readers sit on the census.  ``_record_order`` lists each pair of the
+classes as (class index, entry, entry) in record order; ``enumerate_*``
+build their ``G2Record``s from it, and the CLI renders it without
+building any.  ``distinct_betti``, ``count_matched_pairs`` and
+``compare_joyce`` read weighted rows, a class or a record, which is a row
+of weight 1, so the reports never build the records.
 
 A record's Betti numbers come from ``glue_betti`` alone and are checked
 against a closed form summed per block from the catalog row, with
@@ -291,35 +293,41 @@ def _census(
     return census
 
 
-def _enumerate(space: str, fano: Sequence[FanoFamily], nikulin: NikulinCatalog) -> list[G2Record]:
-    """The records of one pair-space, sorted on (b2, b3, mode, label ranks).
+def _record_order(classes: Sequence[PairClass], width: int) -> list[tuple[int, _Entry, _Entry]]:
+    """``(class index, first entry, second entry)`` of each pair of ``classes``.
 
-    An emb pair puts its earlier pool block first; the other spaces put
-    their fixed side first: the quartic, the mirror triple with r <= 10,
-    the large-rank anchor.
+    The pairs come in record order: sorted on (b2, b3, mode, label ranks),
+    where every label rank is below ``width``.  An emb pair puts its earlier
+    pool block first; the other spaces put their fixed side first: the
+    quartic, the mirror triple with r <= 10, the large-rank anchor.
     """
-    classes = _census(fano, nikulin, (space,))[space]
-    # Each record's sort key is one int, which sorts as the tuple (rank of
-    # its class's (b2, b3, mode), label rank, label rank) would: every label
-    # rank is below ``width``, the pool's size bound.
-    width = len(fano) + len(nikulin) + 1
-    ranks = {key: i for i, key in enumerate(sorted({c[:3] for c in classes}))}
-    records: list[G2Record] = []
-    keys: list[int] = []
-    emb = space == "emb"
-    for b2, b3, mode, certificate, _, _, (first, second) in classes:
+    pairs: list[tuple[int, _Entry, _Entry]] = []
+    for i, (_, _, mode, _, _, _, (first, second)) in enumerate(classes):
         if first is second:
-            pairs = [(p, q) for i, p in enumerate(first) for q in first[i:]]
-        elif emb:
-            pairs = [(p, q) if p.position < q.position else (q, p) for p in first for q in second]
+            pairs += [(i, p, q) for j, p in enumerate(first) for q in first[j:]]
+        elif mode in _CLAUSES.values():
+            pairs += [
+                (i, p, q) if p.position < q.position else (i, q, p) for p in first for q in second
+            ]
         else:
-            pairs = [(p, q) for p in first for q in second]
-        base = ranks[b2, b3, mode] * width
-        for p, q in pairs:
-            records.append(G2Record(b2, b3, mode, certificate, (p.block, q.block)))
-            keys.append((base + p.order) * width + q.order)
-    # Sorting indices on the keys alone never compares two records.
-    return [records[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+            pairs += [(i, p, q) for p in first for q in second]
+    # Each pair's sort key is one int, which sorts as the tuple (rank of its
+    # class's (b2, b3, mode), label rank, label rank) would.
+    ranks = {key: i for i, key in enumerate(sorted({c[:3] for c in classes}))}
+    bases = [ranks[c[:3]] * width for c in classes]
+    keys = [(bases[i] + p.order) * width + q.order for i, p, q in pairs]
+    # Sorting indices on the keys alone never compares two entries.
+    return [pairs[k] for k in sorted(range(len(keys)), key=keys.__getitem__)]
+
+
+def _enumerate(space: str, fano: Sequence[FanoFamily], nikulin: NikulinCatalog) -> list[G2Record]:
+    """The records of one pair-space, in ``_record_order``."""
+    classes = _census(fano, nikulin, (space,))[space]
+    heads = [c[:4] for c in classes]
+    return [
+        G2Record(*heads[i], (p.block, q.block))
+        for i, p, q in _record_order(classes, len(fano) + len(nikulin) + 1)
+    ]
 
 
 def enumerate_emb(fano: FanoCatalog, nikulin: NikulinCatalog) -> list[G2Record]:

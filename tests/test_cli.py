@@ -16,6 +16,12 @@ from collections import Counter
 import pytest
 
 from g2sum.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from g2sum.enumerator import (
+    enumerate_emb,
+    enumerate_large_rank,
+    enumerate_mirror,
+    enumerate_seq,
+)
 
 MIRROR_ROWS = [(4, 35), (6, 41), (8, 47), (10, 53), (12, 59), (14, 65),
                (16, 71), (18, 77), (20, 83), (22, 89), (24, 95)]
@@ -170,19 +176,47 @@ def test_crosscheck_builds_one_pool_and_certifies_each_lattice_pair_once(capsys,
     assert enumerator_calls["G2Record"] == 0
 
 
+MODES = ("emb", "emb_a", "emb_b", "emb_c", "mirror", "seq", "large_rank")
+
+
 @pytest.mark.parametrize(
     "argv",
     [("table1",), ("crosscheck",)]
-    + [
-        ("betti-list", mode)
-        for mode in ("emb", "emb_a", "emb_b", "emb_c", "mirror", "seq", "large_rank")
-    ],
+    + [("betti-list", mode) for mode in MODES]
+    + [("enumerate", mode, "--format", fmt) for mode in MODES for fmt in ("text", "csv", "json")],
     ids=" ".join,
 )
 def test_report_commands_build_no_records(capsys, enumerator_calls, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK and out
     assert enumerator_calls["G2Record"] == 0
+
+
+def test_enumerate_emb_builds_one_record_per_pair(enumerator_calls, fano, nikulin):
+    assert len(enumerate_emb(fano, nikulin)) == 8211
+    assert enumerator_calls["G2Record"] == 8211
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_enumerate_rows_match_the_library(capsys, fano, nikulin, emb_records, mode):
+    code, out, _ = run_cli(capsys, "enumerate", mode, "--format", "json")
+    assert code == EXIT_OK
+    rows = [
+        (r["b2"], r["b3"], r["mode"], r["condition"], r["block1"], r["block2"])
+        for r in json.loads(out)["rows"]
+    ]
+    if mode == "mirror":
+        records = enumerate_mirror(nikulin)
+    elif mode == "seq":
+        records = enumerate_seq(fano, nikulin)
+    elif mode == "large_rank":
+        records = enumerate_large_rank(fano, nikulin)
+    else:
+        records = [r for r in emb_records if mode in ("emb", r.mode.lower())]
+    assert rows == [
+        (r.b2, r.b3, r.mode, r.certificate.condition, r.blocks[0].label, r.blocks[1].label)
+        for r in records
+    ]
 
 
 def test_validation_failure_exit_code(tmp_path, capsys):
