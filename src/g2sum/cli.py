@@ -22,6 +22,9 @@ Data rows go to stdout, diagnostics to stderr.  Exit status: 0 success,
 1 bad catalog data or an identity failure, 2 a catalog that cannot be
 read (``OSError``), a stdout closed before the output ends, or a usage
 error.
+
+A process enters through ``run``, which freezes the heap before exiting so
+the shutdown sweep skips it; ``main`` is the entry for in-process callers.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import argparse
 import gc
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 # The benchmark (perfbench/) reads the names marked below from this module:
@@ -144,18 +146,18 @@ def _joined(items: Sequence) -> str:
     return " ".join(map(str, items))
 
 
-_JSON_SCALAR = {
-    bool: {True: "true", False: "false"}.__getitem__,
-    int: str,
-    str: encode_basestring_ascii,
-}
+def _json_scalar(value) -> str:
+    if type(value) is str:
+        from json.encoder import encode_basestring_ascii  # only json output loads json
+        return encode_basestring_ascii(value)
+    return "true" if value is True else "false" if value is False else str(value)
 
 
 def _json_list(items: Sequence) -> str:
     """A tuple as ``json.dumps(..., indent=2)`` nests it, as a list, in a row."""
     if not items:
         return "[]"
-    body = ",\n        ".join([_JSON_SCALAR[type(v)](v) for v in items])
+    body = ",\n        ".join([_json_scalar(v) for v in items])
     return "[\n        " + body + "\n      ]"
 
 
@@ -171,7 +173,7 @@ def _csv_cell(value) -> str:
 
 
 def _json_cell(value) -> str:
-    return _json_list(value) if type(value) is tuple else _JSON_SCALAR[type(value)](value)
+    return _json_list(value) if type(value) is tuple else _json_scalar(value)
 
 
 # Per format: a cell's text, and what opens a line, separates two cells and closes a line.
@@ -217,7 +219,7 @@ def _write_positions(
         start += len(next(iter(cells.values()), ()))
     # A text cell is padded to its column's width; a json cell follows its key.
     widths = [len(f) if fmt == "text" else 0 for f in fields]
-    keys = [f"      {encode_basestring_ascii(f)}: " if fmt == "json" else "" for f in fields]
+    keys = [f"      {_json_scalar(f)}: " if fmt == "json" else "" for f in fields]
     if fmt == "text":
         for start, cells, _ in runs:
             for run in cells.values():
@@ -434,7 +436,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _COMMANDS[args.command](args, nikulin, fano, joyce)
+        code = _COMMANDS[args.command](args, nikulin, fano, joyce)
+        sys.stdout.flush()  # a write error surfaces here, not at interpreter exit
+        return code
     except (CatalogError, IdentityError) as exc:
         print(f"g2sum: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -449,5 +453,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The process entry: run ``main`` on ``sys.argv`` and exit with its code."""
+    code = main()
+    # The command has ended and the process exits next, so nothing is left for
+    # the collector to reclaim: frozen, the heap is skipped by the shutdown sweep.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -353,6 +353,52 @@ def test_module_entry_point():
     assert len(rows) == 11
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["validate"], EXIT_OK),
+        (["validate", "--nikulin", "{bad}"], EXIT_VALIDATION),
+        (["validate", "--nikulin", "{missing}"], EXIT_IO),
+        (["no-such-command"], EXIT_IO),
+    ],
+    ids=["ok", "bad-row", "missing-catalog", "unknown-command"],
+)
+def test_module_entry_exit_codes(tmp_path, argv, code):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("r,a,delta,source\n19,11,1,x\n")
+    argv = [a.format(bad=bad, missing=tmp_path / "missing.csv") for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "g2sum.cli", *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# The process entry with an exit hook that reads whether the heap was frozen.
+PROBE_RUN = """
+import atexit, gc, sys
+import g2sum.cli as cli
+
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+cli.run()
+"""
+
+
+def test_process_entry_freezes_the_heap_and_runs_exit_hooks():
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE_RUN, "validate"], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.split()[:3] == ["catalog", "rows", "status"]
+    assert "frozen at exit: True" in proc.stderr
+
+
+def test_console_script_enters_through_run():
+    # A text match: tomllib is missing on Python 3.10.
+    pyproject = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'(?m)^g2sum = "g2sum\.cli:run"$', pyproject)
+
+
 def test_closed_stdout_is_io_error_without_traceback():
     # The text output far outgrows a pipe's buffer, so the child is still
     # writing when its reader goes away, as under `| head -1`.
@@ -370,6 +416,33 @@ def test_closed_stdout_is_io_error_without_traceback():
     assert "g2sum: cannot write output:" in err
 
 
+@pytest.mark.parametrize("optimize", [(), ("-O",)], ids=["plain", "optimized"])
+@pytest.mark.parametrize(
+    "argv", [("validate",), ("betti-list", "emb"), ("table1", "--format", "json")], ids=" ".join
+)
+def test_closed_stdout_on_a_small_output_is_io_error_without_traceback(argv, optimize):
+    # The output fits in stdout's buffer, so nothing reaches the pipe before
+    # the final flush; the reader is gone before the child starts.  Unbuffered,
+    # the first write would fail instead, so that mode is switched off.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *optimize, "-m", "g2sum.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_IO
+    assert "g2sum: cannot write output:" in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
 
 def test_cli_start_imports_no_rational_arithmetic():
     probe = "import sys, g2sum.cli; print(*{'fractions', 'decimal', 'numbers'} & set(sys.modules))"
@@ -380,20 +453,30 @@ def test_cli_start_imports_no_rational_arithmetic():
     assert proc.stdout.strip() == ""
 
 
-def test_cli_start_imports_no_dataclasses_inspect_or_logging():
+def modules_the_cli_import_adds() -> set[str]:
     # Only what the import itself adds counts, so a site hook that loads one
-    # of these modules before g2sum cannot fail the test.
+    # of the modules a test looks for before g2sum cannot fail the test.
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import g2sum.cli\n"
-        "print(*sorted({'dataclasses', 'inspect', 'logging'} & (set(sys.modules) - before)))"
+        "print(*sorted(set(sys.modules) - before))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    return set(proc.stdout.split())
+
+
+def test_cli_start_imports_no_dataclasses_inspect_or_logging():
+    assert {"dataclasses", "inspect", "logging"} & modules_the_cli_import_adds() == set()
+
+
+def test_cli_start_imports_no_json():
+    # Only --format json needs the json package; it is imported there.
+    added = modules_the_cli_import_adds()
+    assert [m for m in added if m == "json" or m.startswith("json.")] == []
 
 
 # A closed-form/gluing mismatch planted in the gluing formula: b3 shifted by 4.
@@ -608,6 +691,7 @@ def test_main_runs_without_cyclic_gc_and_restores_it(monkeypatch, capsys, collec
     monkeypatch.setattr(cli, "_census", noting)
     assert main(["betti-list", "mirror"]) == EXIT_OK
     assert gc.isenabled() is collector
+    assert gc.get_freeze_count() == 0  # only the process entry freezes
     assert seen == [False]
     assert len(capsys.readouterr().out.splitlines()) == 12
 

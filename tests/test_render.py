@@ -160,6 +160,9 @@ class RecordingStdout:
         for line in lines:
             self.write(line)
 
+    def flush(self):
+        pass
+
 
 def test_enumerate_json_streams_one_record_at_a_time():
     out = RecordingStdout()
