@@ -2,11 +2,11 @@
 
 A lattice is described by its Gram matrix: a square symmetric matrix of
 integers recording the pairwise products of a fixed basis.  Everything in
-this module is computed exactly and over the integers only — signatures
-by fraction-free symmetric elimination, determinants by fraction-free
-(Bareiss) elimination, discriminant groups via the integer Smith normal
-form with unimodular transforms tracked.  No floating point and no
-rationals anywhere.
+this module is computed exactly and over the integers only — the
+signature and the determinant by one fraction-free symmetric (Bareiss)
+elimination, computed once per lattice, and discriminant groups via the
+integer Smith normal form with unimodular transforms tracked.  No floating
+point and no rationals anywhere.
 
 Conventions
 -----------
@@ -35,8 +35,7 @@ DiscriminantInfo(invariant_factors=(2,), order=2, l=1, is_2_elementary=True, del
 from __future__ import annotations
 
 import re
-from itertools import chain
-from math import gcd, prod
+from math import prod
 from operator import index, mul
 from typing import Iterator, NamedTuple, Sequence
 
@@ -98,18 +97,18 @@ class DiscriminantInfo(NamedTuple):
     delta: int | None
 
 
-class IntLattice(Frozen, ignore=("_smith",)):
+class IntLattice(Frozen, ignore=("_smith", "_pivots")):
     """A nondegenerate integer lattice given by its Gram matrix.
 
     Entries must be integers (anything ``operator.index`` accepts); floats
     and strings are rejected, never truncated.  Equality and hash read the
-    Gram matrix only, not the cached Smith form.
+    Gram matrix only, not the cached Smith form or elimination.
 
     >>> IntLattice([[0, 1], [1, 0]]).signature()
     Signature(t_plus=1, t_minus=1)
     """
 
-    __slots__ = ("gram", "_smith")
+    __slots__ = ("gram", "_smith", "_pivots")
 
     def __init__(self, gram: Sequence[Sequence[int]]) -> None:
         if not gram:
@@ -129,7 +128,7 @@ class IntLattice(Frozen, ignore=("_smith",)):
             raise LatticeError(
                 f"Gram matrix must be symmetric (entries {(i, j)} and {(j, i)} differ)"
             )
-        self._fill(frozen, None)
+        self._fill(frozen, None, None)
 
     @property
     def rank(self) -> int:
@@ -146,75 +145,73 @@ class IntLattice(Frozen, ignore=("_smith",)):
         return IntLattice(tuple(tuple(k * x for x in row) for row in self.gram))
 
     def determinant(self) -> int:
-        """Exact determinant of the Gram matrix (fraction-free elimination)."""
-        n = self.rank
-        a = [list(row) for row in self.gram]
-        sign = 1
-        prev = 1
-        for t in range(n - 1):
-            if a[t][t] == 0:
-                swap = next((i for i in range(t + 1, n) if a[i][t] != 0), None)
-                if swap is None:
-                    return 0
-                a[t], a[swap] = a[swap], a[t]
-                sign = -sign
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            prev = a[t][t]
-        return sign * a[n - 1][n - 1]
+        """Exact determinant: the last pivot ``D_n`` of :meth:`_eliminate`."""
+        return (self._pivots or self._eliminate())[2]
 
     def signature(self) -> Signature:
         """Exact Sylvester signature; raises on a degenerate form.
 
-        Symmetric elimination over the integers, with no division.  With
-        pivot ``p = a[t][t]`` and ``s = sign(p)``, the trailing block becomes
-        ``s * (p * a[i][j] - a[i][t] * a[t][j])``: ``|p|`` times the
-        Schur complement, so every row of the block is scaled and the step
-        stays a congruence up to a positive factor.  The block is then
-        divided by the gcd of its entries to keep them small.  A zero pivot
-        block with a nonzero off-diagonal entry a[i][j] is repaired by the
-        congruence "add row j and column j to i", which makes the new
-        diagonal entry 2*a[i][j] != 0.
+        The pivots ``1, D_1, ..., D_n`` of :meth:`_eliminate` are nonzero
+        leading principal minors of a congruent Gram matrix, so by Jacobi's
+        rule their sign changes count the negative directions.
+        """
+        t_plus, t_minus, det = self._pivots or self._eliminate()
+        if det == 0:
+            raise LatticeError("degenerate Gram matrix (zero block remains)")
+        return Signature(t_plus, t_minus)
+
+    def _eliminate(self) -> tuple[int, int, int]:
+        """``(t_plus, t_minus, det)`` by one fraction-free symmetric elimination.
+
+        Runs on first use by :meth:`signature` or :meth:`determinant`; the
+        result is kept in the ``_pivots`` slot, as the Smith form is in
+        ``_smith``.  Bareiss's rule: with ``prev = D_k`` and pivot
+        ``p = D_{k+1}``, the trailing entry (i, j) becomes
+        ``(p * a[i][j] - a[i][0] * a[0][j]) // prev``, a bordered minor, so
+        the division is exact.  The pivot is the first nonzero trailing
+        diagonal entry, swapped into place on both sides; if that diagonal
+        is all zero, a nonzero a[i][j] is repaired by "add row j and column
+        j to i", making the new diagonal entry 2*a[i][j].  Both moves are
+        congruences of determinant +-1 that fix the leading block, so the
+        entries stay bordered minors and the pivots leading principal
+        minors.  An all-zero trailing block means a degenerate form: ``det``
+        is 0 and the counts are partial.
         """
         a = [list(row) for row in self.gram]
-        pos = neg = 0
+        prev = 1
+        neg = 0
         while a:
-            m = len(a)
-            piv = next((i for i in range(m) if a[i][i]), None)
-            if piv is None:
-                mix = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
-                if mix is None:
-                    raise LatticeError("degenerate Gram matrix (zero block remains)")
-                i, j = mix
-                a[i] = [x + y for x, y in zip(a[i], a[j])]
-                for row in a:
-                    row[i] += row[j]
-                piv = i
-            if piv:
-                a[0], a[piv] = a[piv], a[0]
-                for row in a:
-                    row[0], row[piv] = row[piv], row[0]
+            if not a[0][0]:
+                m = len(a)
+                piv = next((i for i in range(m) if a[i][i]), None)
+                if piv is None:
+                    mix = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
+                    if mix is None:
+                        prev = 0
+                        break
+                    i, j = mix
+                    a[i] = [x + y for x, y in zip(a[i], a[j])]
+                    for row in a:
+                        row[i] += row[j]
+                    piv = i
+                if piv:
+                    a[0], a[piv] = a[piv], a[0]
+                    for row in a:
+                        row[0], row[piv] = row[piv], row[0]
             p = a[0][0]
-            if p > 0:
-                pos += 1
-            else:
+            if (p < 0) != (prev < 0):
                 neg += 1
-            s = 1 if p > 0 else -1
-            q = s * p
             head = a[0][1:]
-            block = []
-            for row in a[1:]:
-                c = s * row[0]
-                if c:
-                    block.append([q * x - c * h for x, h in zip(row[1:], head)])
-                else:
-                    block.append([q * x for x in row[1:]])
-            g = gcd(*chain.from_iterable(block))
-            if g > 1:
-                block = [[x // g for x in row] for row in block]
-            a = block
-        return Signature(pos, neg)
+            a = [
+                [(p * x - c * h) // prev for x, h in zip(row[1:], head)]
+                if (c := row[0])
+                else [p * x // prev for x in row[1:]]
+                for row in a[1:]
+            ]
+            prev = p
+        pivots = (len(self.gram) - len(a) - neg, neg, prev)
+        object.__setattr__(self, "_pivots", pivots)
+        return pivots
 
     def smith_normal_form(self) -> SmithDecomposition:
         """Smith normal form over the integers with transforms tracked.

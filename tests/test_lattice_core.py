@@ -246,10 +246,58 @@ def test_smith_form_computed_once_per_lattice(monkeypatch):
     assert made == [lat.rank, lat.rank]  # U and V of one decomposition
 
 
+def _count_eliminations(monkeypatch):
+    runs = []
+    eliminate = IntLattice._eliminate
+    monkeypatch.setattr(IntLattice, "_eliminate", lambda self: runs.append(self) or eliminate(self))
+    return runs
+
+
+def test_signature_then_determinant_share_one_elimination(monkeypatch):
+    runs = _count_eliminations(monkeypatch)
+    lat = parse_lattice_expr("U(2) + E7(-1) + A1")
+    assert lat.signature() == Signature(2, 8)
+    assert lat.determinant() == 16
+    assert lat.signature() == Signature(2, 8)
+    assert runs == [lat]
+
+
+def test_determinant_then_signature_share_one_elimination(monkeypatch):
+    runs = _count_eliminations(monkeypatch)
+    lat = parse_lattice_expr("U(2) + E7(-1) + A1")
+    assert lat.determinant() == 16
+    assert lat.signature() == Signature(2, 8)
+    assert lat.determinant() == 16
+    assert runs == [lat]
+    other = IntLattice(lat.gram)
+    assert other.determinant() == 16
+    assert runs == [lat, other]  # the cache is per lattice, never shared
+
+
+DEGENERATE = (((2, 2), (2, 2)), ((0,),), ((0, 0), (0, 0)), ((2, 0, 0), (0, 0, 0), (0, 0, 4)))
+
+
+@pytest.mark.parametrize("gram", DEGENERATE)
+@pytest.mark.parametrize("determinant_first", [True, False])
+def test_degenerate_form_has_no_signature_in_either_call_order(gram, determinant_first):
+    lat = IntLattice(gram)
+    if determinant_first:
+        assert lat.determinant() == 0
+    with pytest.raises(LatticeError, match="degenerate"):
+        lat.signature()
+    assert lat.determinant() == 0
+    with pytest.raises(LatticeError, match="degenerate"):
+        lat.signature()
+    with pytest.raises(LatticeError, match="degenerate"):
+        lat.discriminant()
+
+
 def test_equality_and_hash_ignore_the_cached_smith_form():
     gram = ((2, 1, 0), (1, -4, 3), (0, 3, 0))
     cached, plain = IntLattice(gram), IntLattice([list(row) for row in gram])
     cached.smith_normal_form()
+    cached.signature()
+    assert cached._smith is not None and cached._pivots is not None
     assert cached == plain and plain == cached
     assert hash(cached) == hash(plain)
     assert len({cached, plain}) == 1

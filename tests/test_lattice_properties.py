@@ -309,6 +309,45 @@ def test_signature_matches_fraction_oracle(gram):
     assert (expected is LatticeError) == (det_exact(gram) == 0)
 
 
+def _check_determinant_and_sign(gram):
+    lat = IntLattice(gram)
+    det = lat.determinant()
+    assert det == det_exact(gram)
+    if det:
+        assert (det > 0) == (lat.signature().t_minus % 2 == 0)
+    else:
+        with pytest.raises(LatticeError, match="degenerate"):
+            lat.signature()
+
+
+@given(symmetric_grams())
+@example(((2, 0, 0), (0, 0, 1), (0, 1, 0)))  # <2> + U: repair after one step
+@example(((0, 1, 1), (1, 0, 1), (1, 1, 0)))  # repair at the start
+@example(((-4, 0, 0), (0, 0, 0), (0, 0, 6)))  # degenerate: a zero block remains
+@settings(max_examples=400)
+def test_determinant_matches_reference_on_the_repair_path(gram):
+    _check_determinant_and_sign(gram)
+
+
+@st.composite
+def large_entry_grams(draw):
+    """Symmetric matrices of rank 1..8 with entries up to 10**9 in size."""
+    n = draw(st.integers(1, 8))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.integers(-(10**9), 10**9))
+    return tuple(map(tuple, g))
+
+
+@given(large_entry_grams())
+@settings(max_examples=100)
+def test_determinant_and_signature_with_large_entries(gram):
+    _check_determinant_and_sign(gram)
+    expected = _signature_or_error(signature_by_fractions, gram)
+    assert _signature_or_error(lambda g: IntLattice(g).signature(), gram) == expected
+
+
 def test_delta_matches_subset_scan_on_models_and_battery():
     checked = 0
     for lat in catalog_models() + [lat for lat, _ in battery_500()]:

@@ -27,9 +27,10 @@ def _block(triple=None, fano=None, d=4):
     return BuildingBlock("INVOLUTION", "involution(2,0,0)", 7, 40, d, 2, 0, triple, fano)
 
 
-def _lattice_with_smith_form():
+def _lattice_with_caches_filled():
     lat = IntLattice([[2, 1], [1, -4]])
     lat.smith_normal_form()
+    lat.signature()
     return lat
 
 
@@ -53,7 +54,7 @@ CASES = {
         "triple",
     ),
     "IntLattice": (
-        _lattice_with_smith_form,
+        _lattice_with_caches_filled,
         lambda: IntLattice(((2, 1), (1, -4))),
         lambda: IntLattice(((2, 1), (1, 4))),
         "gram",
