@@ -273,9 +273,7 @@ def _mode_classes(
     mode: str, nikulin: NikulinCatalog, fano: FanoCatalog
 ) -> list[PairClass]:
     space = _SPACES.get(mode, "emb")
-    # The mirror pairs join involution blocks only, so no Fano block is built for them.
-    census = _census(() if space == MIRROR else fano, nikulin, (space,))
-    return _of_clause(mode, census[space])
+    return _of_clause(mode, _census(fano, nikulin, (space,))[space])
 
 
 def _cmd_validate(
@@ -295,7 +293,7 @@ def _cmd_enumerate(
     joyce: JoyceCatalog | None,
 ) -> int:
     classes = _mode_classes(args.mode, nikulin, fano)
-    order = _record_order(classes, len(fano) + len(nikulin) + 1)
+    order = _record_order(classes)
     # Every pair glues with n = 0 from simply connected blocks and keeps the
     # rank condition, so the n, simply_connected and flags cells are constant.
     heads: dict[tuple, int] = {}

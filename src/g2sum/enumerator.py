@@ -26,11 +26,16 @@ A pair's outcome (its clause, certificate, ``glue_betti`` result and
 identity checks) reads only each block's kind, lattice class
 ``(rank, l_bound, triple)``, gluing inputs ``(b2_bar, b3_bar, d)`` and
 catalog share ``(d, e)``: its *outcome class*.  The *census* is the one
-loop that decides outcomes.  It groups one pool by outcome class, pairs the
-groups under each requested space's predicate, a group possibly with
-itself, and decides each admitted pair of groups once, from their first
-members; the certificate, which reads only the lattice classes,
-is decided once per unordered pair of those over all the spaces.  Each
+loop that decides outcomes.  It builds Fano blocks only for a space that
+reads them (all but ``MIRROR``) and sorts the pool's outcome groups by
+size, stably; the quartic stays aside.  Each space reads only the groups:
+``emb`` pairs a group with the slice from itself to the first group of
+size 20 minus its own, ``SEQ`` the quartic with the slice below size 18,
+and ``MIRROR`` and ``LARGE_RANK`` name their one-block involution groups
+by triple key, so no pair is tested and rejected.  Each admitted pair of
+groups, a group possibly with itself, is decided once, from their first
+members; the certificate, which reads only the lattice classes, is
+decided once per unordered pair of those over all the spaces.  Each
 decided ``PairClass`` carries its *weight*, the number of block pairs it
 stands for: m * m' for two groups of m and m' blocks, m (m + 1) / 2 for a
 group of m paired with itself, m of them *diagonal* (a block with itself).
@@ -57,6 +62,7 @@ so a failure means a transcription bug.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Final, Iterable, NamedTuple, Sequence
 
 from .building_blocks import (
@@ -174,6 +180,7 @@ class PairClass(NamedTuple):
 _CLAUSES: Final = {
     (KIND_FANO, KIND_FANO): EMB_A,
     (KIND_FANO, KIND_INVOLUTION): EMB_B,
+    (KIND_INVOLUTION, KIND_FANO): EMB_B,
     (KIND_INVOLUTION, KIND_INVOLUTION): EMB_C,
 }
 
@@ -186,20 +193,19 @@ def _census(
     The spaces are decided in the order given, so an identity failure is
     reported for the first space that has one.
     """
-    made = {f: (fano_block(f), (0, f.g + 2)) for f in fano}
+    made = [] if set(spaces) <= {MIRROR} else [(fano_block(f), (0, f.g + 2)) for f in fano]
     for t in nikulin:
         if fixed_locus(t).kind != EMPTY:
-            made[t] = (involution_block(t), (2 + t.r - t.a, 46 - t.r - 3 * t.a))
-    made_quartic = (quartic_blowup_block(), (3, 27))
-    labels = sorted({block.label for block, _ in (*made.values(), made_quartic)})
-    order = {label: i for i, label in enumerate(labels)}
+            made.append((involution_block(t), (2 + t.r - t.a, 46 - t.r - 3 * t.a)))
+    made.append((quartic_blowup_block(), (3, 27)))
+    order = {label: i for i, label in enumerate(sorted({block.label for block, _ in made}))}
     ids: dict[tuple, int] = {}
-
-    def entry(position: int, block: BuildingBlock, share: tuple[int, int]) -> _Entry:
+    members: dict[int, list[_Entry]] = {}
+    for position, (block, share) in enumerate(made):
         triple = block.triple
         lattice = (block.rank, block.l_bound, None if triple is None else triple.key)
         outcome = (block.kind, lattice, block.b2_bar, block.b3_bar, block.d, share)
-        return _Entry(
+        e = _Entry(
             block,
             block.rank + block.l_bound,
             share,
@@ -208,40 +214,32 @@ def _census(
             position,
             order[block.label],
         )
-
-    pool = {row: entry(i, *block_share) for i, (row, block_share) in enumerate(made.items())}
-    members: dict[int, list[_Entry]] = {}
-    for e in pool.values():
         members.setdefault(e.outcome, []).append(e)
-    group_of = {outcome: tuple(entries) for outcome, entries in members.items()}
-    groups = list(group_of.values())  # in pool order of their first members
-    quartic = (entry(len(pool), *made_quartic),)
+    # The quartic's group is the last; the others are ordered by size, and
+    # stably, so in pool order within a size.
+    *groups, quartic = map(tuple, members.values())
+    groups.sort(key=lambda g: g[0].size)
+    sizes = [g[0].size for g in groups]
+    by_key = {g[0].block.triple.key: g for g in groups if g[0].block.triple is not None}
 
     def group_pairs(space: str) -> list[tuple[tuple[_Entry, ...], tuple[_Entry, ...]]]:
-        # Every member of a group has the group's size and rank, so a
-        # predicate on two groups' first members admits all their pairs.
+        # A group's members share its size, rank and triple, so the numeric
+        # spaces are slices of the size order and a triple key names a group.
         if space == "emb":
             return [
                 (g, h)
                 for i, g in enumerate(groups)
-                for h in groups[i:]
-                if g[0].size + h[0].size < 20
+                for h in groups[i : bisect_left(sizes, 20 - sizes[i])]
             ]
         if space == SEQ:
-            return [(quartic, h) for h in groups if quartic[0].size + h[0].size < 20]
+            return [(quartic, h) for h in groups[: bisect_left(sizes, 20 - quartic[0].size)]]
         if space == MIRROR:
-            return [
-                (group_of[pool[t1].outcome], group_of[pool[t2].outcome])
-                for t1, t2 in mirror_pairs(nikulin)
-            ]
-        found = {key: nikulin.find(*key) for key in (*LARGE_RANK_ANCHORS, (1, 1, 1))}
-        for key, t in found.items():
-            if t is None:
+            return [(by_key[t1.key], by_key[t2.key]) for t1, t2 in mirror_pairs(nikulin)]
+        for key in (*LARGE_RANK_ANCHORS, (1, 1, 1)):
+            if key not in by_key:
                 raise CatalogError(f"large-rank enumeration needs triple {key} in the catalog")
         partners = [h for h in (*groups, quartic) if h[0].block.rank == 1]
-        return [
-            (group_of[pool[found[key]].outcome], h) for key in LARGE_RANK_ANCHORS for h in partners
-        ]
+        return [(by_key[key], h) for key in LARGE_RANK_ANCHORS for h in partners]
 
     # A class's outcome is decided from the first member of each group.  A
     # certificate reads only the two lattice classes, and its value not
@@ -293,13 +291,13 @@ def _census(
     return census
 
 
-def _record_order(classes: Sequence[PairClass], width: int) -> list[tuple[int, _Entry, _Entry]]:
+def _record_order(classes: Sequence[PairClass]) -> list[tuple[int, _Entry, _Entry]]:
     """``(class index, first entry, second entry)`` of each pair of ``classes``.
 
-    The pairs come in record order: sorted on (b2, b3, mode, label ranks),
-    where every label rank is below ``width``.  An emb pair puts its earlier
-    pool block first; the other spaces put their fixed side first: the
-    quartic, the mirror triple with r <= 10, the large-rank anchor.
+    The pairs come in record order: sorted on (b2, b3, mode, label ranks).
+    An emb pair puts its earlier pool block first; the other spaces put
+    their fixed side first: the quartic, the mirror triple with r <= 10,
+    the large-rank anchor.
     """
     pairs: list[tuple[int, _Entry, _Entry]] = []
     for i, (_, _, mode, _, _, _, (first, second)) in enumerate(classes):
@@ -312,7 +310,10 @@ def _record_order(classes: Sequence[PairClass], width: int) -> list[tuple[int, _
         else:
             pairs += [(i, p, q) for p in first for q in second]
     # Each pair's sort key is one int, which sorts as the tuple (rank of its
-    # class's (b2, b3, mode), label rank, label rank) would.
+    # class's (b2, b3, mode), label rank, label rank) would: ``width`` is above
+    # every label rank.  Classes share their groups, so each is read once.
+    groups = {id(g): g for c in classes for g in c.groups}
+    width = 1 + max([e.order for g in groups.values() for e in g], default=0)
     ranks = {key: i for i, key in enumerate(sorted({c[:3] for c in classes}))}
     bases = [ranks[c[:3]] * width for c in classes]
     keys = [(bases[i] + p.order) * width + q.order for i, p, q in pairs]
@@ -320,13 +321,13 @@ def _record_order(classes: Sequence[PairClass], width: int) -> list[tuple[int, _
     return [pairs[k] for k in sorted(range(len(keys)), key=keys.__getitem__)]
 
 
-def _enumerate(space: str, fano: Sequence[FanoFamily], nikulin: NikulinCatalog) -> list[G2Record]:
+def _enumerate(space: str, fano: Iterable[FanoFamily], nikulin: NikulinCatalog) -> list[G2Record]:
     """The records of one pair-space, in ``_record_order``."""
     classes = _census(fano, nikulin, (space,))[space]
     heads = [c[:4] for c in classes]
     return [
         G2Record(*heads[i], (p.block, q.block))
-        for i, p, q in _record_order(classes, len(fano) + len(nikulin) + 1)
+        for i, p, q in _record_order(classes)
     ]
 
 

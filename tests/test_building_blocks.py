@@ -84,6 +84,13 @@ def test_euler_check_requires_even_euler_sum(nikulin):
     assert not odd.ok
 
 
+def test_euler_check_requires_equal_h11(nikulin):
+    ec = euler_crosscheck(nikulin.find(17, 1, 1))
+    high = ec._replace(h11=ec.b2_bar + 2)
+    assert high.euler_sum % 2 == 0 and 2 * high.h12 == high.b3_bar
+    assert not high.ok
+
+
 def test_euler_crosscheck_all_triples(nikulin):
     checked = 0
     for t in nikulin.triples:

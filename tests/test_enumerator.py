@@ -11,7 +11,7 @@ from g2sum.building_blocks import (
     involution_block,
     quartic_blowup_block,
 )
-from g2sum.catalog import JoyceCatalog
+from g2sum.catalog import FanoCatalog, JoyceCatalog, NikulinCatalog
 from g2sum.enumerator import (
     EMB_A,
     EMB_B,
@@ -21,6 +21,7 @@ from g2sum.enumerator import (
     SEQ,
     G2Record,
     IdentityError,
+    _census,
     compare_joyce,
     count_matched_pairs,
     distinct_betti,
@@ -100,6 +101,54 @@ def test_glue_rank_condition_violation(monkeypatch, nikulin):
     monkeypatch.setattr(enumerator_mod, "involution_block", inflated)
     with pytest.raises(IdentityError, match=r"^MIRROR pair \S+ x \S+ breaks the rank condition"):
         enumerate_mirror(nikulin)
+
+
+def test_rank_condition_boundary_is_22(monkeypatch, fano, nikulin):
+    # P3 (rank 1) and (12,2,1) (rank 12) make two emb pairs: P3 x P3 and
+    # P3 x (12,2,1).  Raising P3's b2_bar by k adds k to each of its shares.
+    p3 = next(f for f in fano if f.id == "P3")
+    small = (FanoCatalog((p3,), False), NikulinCatalog((nikulin.find(12, 2, 1),), False))
+    real = enumerator_mod.fano_block
+
+    def raised(k):
+        def block(f):
+            b = real(f)
+            return BuildingBlock(
+                b.kind, b.label, b.b2_bar + k, b.b3_bar, b.d, b.rank, b.l_bound, b.triple, b.fano
+            )
+
+        return block
+
+    # k = 9: P3 x (12,2,1) sums to 1 + 9 + 12 = 22 and P3 x P3 to 20.
+    monkeypatch.setattr(enumerator_mod, "fano_block", raised(9))
+    classes = _census(*small, ("emb",))["emb"]
+    excess = sorted(sum(rank_excess(g[0].block) for g in c.groups) for c in classes)
+    assert excess == [20, 22]
+    # k = 10: P3 x (12,2,1) sums to 23 and breaks the condition; P3 x P3 sums to 22.
+    monkeypatch.setattr(enumerator_mod, "fano_block", raised(10))
+    labels = r"(fano\(P3\) x involution\(12,2,1\)|involution\(12,2,1\) x fano\(P3\))"
+    with pytest.raises(
+        IdentityError,
+        match=rf"^EMB_B pair {labels} breaks the rank condition: .* sums to 23 > 22$",
+    ):
+        _census(*small, ("emb",))
+
+
+def test_only_spaces_that_read_fano_blocks_build_them(monkeypatch, fano, nikulin):
+    calls = Counter()
+    real = enumerator_mod.fano_block
+
+    def counted(f):
+        calls[f] += 1
+        return real(f)
+
+    monkeypatch.setattr(enumerator_mod, "fano_block", counted)
+    _census(fano, nikulin, (MIRROR,))
+    assert sum(calls.values()) == 0
+    for space in ("emb", SEQ, LARGE_RANK):
+        calls.clear()
+        _census(fano, nikulin, (MIRROR, space))
+        assert calls == Counter(fano)
 
 
 def test_record_api(nikulin, emb_records):

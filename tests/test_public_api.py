@@ -1,5 +1,7 @@
 """The public names of the package: each resolves, and removed ones stay gone."""
 
+from pathlib import Path
+
 import g2sum
 import g2sum.building_blocks
 import g2sum.catalog
@@ -59,3 +61,22 @@ def test_removed_names_stay_removed():
     for cls, names in REMOVED_ATTRIBUTES.items():
         for name in names:
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+
+
+def test_every_name_the_benchmark_tracer_patches_resolves(monkeypatch):
+    # perfbench/spans.py wraps names of g2sum.cli and g2sum.enumerator by
+    # attribute; a renamed one would fail only the traced benchmark run.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+
+    tracer = spans.Tracer()
+    try:
+        spans.install_cli(tracer)
+        patched = list(tracer._patches)
+        assert patched
+        for owner, attr, original in patched:
+            assert getattr(owner, attr).__wrapped__ is original, attr
+    finally:
+        tracer.unpatch()
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, attr
