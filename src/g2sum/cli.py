@@ -293,7 +293,7 @@ def _cmd_enumerate(
     joyce: JoyceCatalog | None,
 ) -> int:
     classes = _mode_classes(args.mode, nikulin, fano)
-    order = _record_order(classes)
+    order, entries = _record_order(classes)
     # Every pair glues with n = 0 from simply connected blocks and keeps the
     # rank condition, so the n, simply_connected and flags cells are constant.
     heads: dict[tuple, int] = {}
@@ -301,9 +301,7 @@ def _cmd_enumerate(
         heads.setdefault((c.b2, c.b3, c.mode, 0, c.certificate.condition), len(heads))
         for c in classes
     ]
-    # Classes share their groups, so each label is read once per distinct group.
-    groups = {id(g): g for c in classes for g in c.groups}
-    labels = {e.order: (e.block.label,) for g in groups.values() for e in g}
+    labels = {e.order: (e.block.label,) for e in entries}
     positions = [
         (list(heads), [head_of[i] for i, _, _ in order]),
         (labels, [p.order for _, p, _ in order]),

@@ -84,7 +84,8 @@ def nikulin_sufficient(
     return EmbeddingVerdict(SUFFICIENT, "numeric")
 
 
-# Signature and rank of 2*E8_NEG + 2*H, computed once from its Gram matrix.
+# Signature and rank of 2*E8_NEG + 2*H, computed once at import: the sum of
+# its summands' signatures, one E8_NEG and one H elimination.
 _AMBIENT_SIG: Final = standard_lattice("TWO_E8_TWO_H").signature()
 _AMBIENT_RANK: Final = sum(_AMBIENT_SIG)
 
@@ -94,7 +95,8 @@ def embeds_in_2e8_2h(parts: Iterable[tuple[int, int, Signature]]) -> EmbeddingVe
 
     ``parts`` lists ``(rank, l_bound, signature)`` per summand; ranks,
     l-values and signatures are additive over a direct sum.  The signature
-    gate is taken from the ambient Gram matrix itself (t+ <= 2, t- <= 18).
+    gate is taken from the ambient lattice's summands E8_NEG and H, whose
+    signatures add (t+ <= 2, t- <= 18).
     """
     rk_total = 0
     l_total = 0

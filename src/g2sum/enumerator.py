@@ -41,11 +41,13 @@ stands for: m * m' for two groups of m and m' blocks, m (m + 1) / 2 for a
 group of m paired with itself, m of them *diagonal* (a block with itself).
 
 Two readers sit on the census.  ``_record_order`` lists each pair of the
-classes as (class index, entry, entry) in record order; ``enumerate_*``
-build their ``G2Record``s from it, and the CLI renders it without
-building any.  ``distinct_betti``, ``count_matched_pairs`` and
-``compare_joyce`` read weighted rows, a class or a record, which is a row
-of weight 1, so the reports never build the records.
+classes as (class index, entry, entry) in record order, and hands back
+the entries of the classes' distinct groups it read for the sort;
+``enumerate_*`` build their ``G2Record``s from the pairs, and the CLI
+renders them, its labels read from those entries, without building any.
+``distinct_betti``, ``count_matched_pairs`` and ``compare_joyce`` read
+weighted rows, a class or a record, which is a row of weight 1, so the
+reports never build the records.
 
 A record's Betti numbers come from ``glue_betti`` alone and are checked
 against a closed form summed per block from the catalog row, with
@@ -291,13 +293,18 @@ def _census(
     return census
 
 
-def _record_order(classes: Sequence[PairClass]) -> list[tuple[int, _Entry, _Entry]]:
-    """``(class index, first entry, second entry)`` of each pair of ``classes``.
+def _record_order(
+    classes: Sequence[PairClass],
+) -> tuple[list[tuple[int, _Entry, _Entry]], list[_Entry]]:
+    """``(class index, first entry, second entry)`` of each pair of ``classes``,
+    and the entries of the classes' distinct groups.
 
     The pairs come in record order: sorted on (b2, b3, mode, label ranks).
     An emb pair puts its earlier pool block first; the other spaces put
     their fixed side first: the quartic, the mirror triple with r <= 10,
-    the large-rank anchor.
+    the large-rank anchor.  The entries are those the pairs draw from, each
+    once, for a reader that needs them without another pass over the
+    classes.
     """
     pairs: list[tuple[int, _Entry, _Entry]] = []
     for i, (_, _, mode, _, _, _, (first, second)) in enumerate(classes):
@@ -313,12 +320,13 @@ def _record_order(classes: Sequence[PairClass]) -> list[tuple[int, _Entry, _Entr
     # class's (b2, b3, mode), label rank, label rank) would: ``width`` is above
     # every label rank.  Classes share their groups, so each is read once.
     groups = {id(g): g for c in classes for g in c.groups}
-    width = 1 + max([e.order for g in groups.values() for e in g], default=0)
+    entries = [e for g in groups.values() for e in g]
+    width = 1 + max([e.order for e in entries], default=0)
     ranks = {key: i for i, key in enumerate(sorted({c[:3] for c in classes}))}
     bases = [ranks[c[:3]] * width for c in classes]
     keys = [(bases[i] + p.order) * width + q.order for i, p, q in pairs]
     # Sorting indices on the keys alone never compares two entries.
-    return [pairs[k] for k in sorted(range(len(keys)), key=keys.__getitem__)]
+    return [pairs[k] for k in sorted(range(len(keys)), key=keys.__getitem__)], entries
 
 
 def _enumerate(space: str, fano: Iterable[FanoFamily], nikulin: NikulinCatalog) -> list[G2Record]:
@@ -327,7 +335,7 @@ def _enumerate(space: str, fano: Iterable[FanoFamily], nikulin: NikulinCatalog) 
     heads = [c[:4] for c in classes]
     return [
         G2Record(*heads[i], (p.block, q.block))
-        for i, p, q in _record_order(classes)
+        for i, p, q in _record_order(classes)[0]
     ]
 
 

@@ -8,6 +8,12 @@ elimination, computed once per lattice, and discriminant groups via the
 integer Smith normal form with unimodular transforms tracked.  No floating
 point and no rationals anywhere.
 
+A lattice built by ``direct_sum`` (every parsed expression, and ``K3``,
+``TWO_E8_TWO_H``, ``L_18_0_0``, ``L_17_1_1``) is never eliminated itself:
+its signature is the sum and its determinant the product of its
+summands', each summand object eliminated once.  Its Smith form is still
+computed on its whole Gram matrix.
+
 Conventions
 -----------
 * ``H`` is the hyperbolic plane ``[[0, 1], [1, 0]]``.
@@ -165,10 +171,11 @@ class IntLattice(Frozen, ignore=("_smith", "_pivots")):
 
         Runs on first use by :meth:`signature` or :meth:`determinant`; the
         result is kept in the ``_pivots`` slot, as the Smith form is in
-        ``_smith``.  Bareiss's rule: with ``prev = D_k`` and pivot
-        ``p = D_{k+1}``, the trailing entry (i, j) becomes
-        ``(p * a[i][j] - a[i][0] * a[0][j]) // prev``, a bordered minor, so
-        the division is exact.  The pivot is the first nonzero trailing
+        ``_smith``.  A lattice made by :func:`direct_sum` never runs it:
+        its slot is filled from its summands' own runs.  Bareiss's rule:
+        with ``prev = D_k`` and pivot ``p = D_{k+1}``, the trailing entry
+        (i, j) becomes ``(p * a[i][j] - a[i][0] * a[0][j]) // prev``, a
+        bordered minor, so the division is exact.  The pivot is the first nonzero trailing
         diagonal entry, swapped into place on both sides; if that diagonal
         is all zero, a nonzero a[i][j] is repaired by "add row j and column
         j to i", making the new diagonal entry 2*a[i][j].  Both moves are
@@ -350,17 +357,32 @@ class IntLattice(Frozen, ignore=("_smith", "_pivots")):
 
 
 def direct_sum(first: IntLattice, *rest: IntLattice) -> IntLattice:
-    """Block-diagonal sum; rank adds, determinant multiplies, signature adds."""
+    """Block-diagonal sum; rank adds, determinant multiplies, signature adds.
+
+    The sum's ``_pivots`` slot is filled from its parts: ``(sum t_plus,
+    sum t_minus, prod det)``, each part's taken from its own cached
+    :meth:`IntLattice._eliminate`, so the sum's Gram matrix is never
+    eliminated and a part object that repeats (``2*E8(-1)``) is eliminated
+    once.  A degenerate part makes the product 0, and the sum degenerate.
+    """
     parts = (first, *rest)
     total = sum(p.rank for p in parts)
-    rows: list[list[int]] = [[0] * total for _ in range(total)]
-    offset = 0
+    zeros = (0,) * total
+    rows: list[tuple[int, ...]] = []
+    offset = plus = minus = 0
+    det = 1
     for part in parts:
-        for i in range(part.rank):
-            for j in range(part.rank):
-                rows[offset + i][offset + j] = part.gram[i][j]
-        offset += part.rank
-    return IntLattice(rows)
+        t_plus, t_minus, part_det = part._pivots or part._eliminate()
+        plus += t_plus
+        minus += t_minus
+        det *= part_det
+        end = offset + part.rank
+        left, right = zeros[:offset], zeros[end:]
+        rows += [left + row + right for row in part.gram]
+        offset = end
+    lattice = IntLattice(rows)
+    object.__setattr__(lattice, "_pivots", (plus, minus, det))
+    return lattice
 
 
 def _tree_gram(arms: tuple[int, ...]) -> list[list[int]]:

@@ -4,11 +4,13 @@ Every triple row carries a lattice model in its source column.  Parsing
 that model and recomputing (rank, signature, discriminant) from the Gram
 matrix checks the catalog and the engine against each other — the two
 routes are independent, so a transcription slip on either side fails here.
+The parsed sum takes its signature from its summands, so the signature is
+also read from a fresh lattice on the whole Gram matrix.
 """
 
 import pytest
 
-from g2sum.lattice_core import Signature, parse_lattice_expr
+from g2sum.lattice_core import IntLattice, Signature, parse_lattice_expr
 
 
 def _model_cases():
@@ -24,6 +26,8 @@ def test_source_model_realizes_invariants(triple):
     assert lat.rank == triple.r
     assert lat.is_even()
     assert lat.signature() == Signature(1, triple.r - 1)
+    # the sum's signature comes from its parts; the whole Gram must agree
+    assert IntLattice(lat.gram).signature() == Signature(1, triple.r - 1)
     disc = lat.discriminant()
     assert disc.is_2_elementary
     assert disc.l == triple.a

@@ -253,18 +253,43 @@ def _count_eliminations(monkeypatch):
     return runs
 
 
-def test_signature_then_determinant_share_one_elimination(monkeypatch):
+SUMMANDS = ("U(2)", "E7(-1)", "A1")
+
+
+def _parse_counting_parts(monkeypatch):
+    """Parse the sum of ``SUMMANDS`` with eliminations counted from then on.
+
+    Checks that the parse eliminates each of the three summand objects once
+    and the sum never.
+    """
+    grams = [parse_lattice_expr(term).gram for term in SUMMANDS]
     runs = _count_eliminations(monkeypatch)
-    lat = parse_lattice_expr("U(2) + E7(-1) + A1")
+    lat = parse_lattice_expr(" + ".join(SUMMANDS))
+    assert [part.gram for part in runs] == grams
+    assert len({id(part) for part in runs}) == 3 and all(part is not lat for part in runs)
+    return lat, runs
+
+
+def test_signature_then_determinant_share_one_elimination(monkeypatch):
+    gram = parse_lattice_expr(" + ".join(SUMMANDS)).gram
+    runs = _count_eliminations(monkeypatch)
+    lat = IntLattice(gram)
     assert lat.signature() == Signature(2, 8)
     assert lat.determinant() == 16
     assert lat.signature() == Signature(2, 8)
     assert runs == [lat]
+    monkeypatch.undo()
+    parsed, parts = _parse_counting_parts(monkeypatch)
+    assert parsed.signature() == Signature(2, 8)
+    assert parsed.determinant() == 16
+    assert parsed.signature() == Signature(2, 8)
+    assert len(parts) == 3  # the sum's invariants come from its parts
 
 
 def test_determinant_then_signature_share_one_elimination(monkeypatch):
+    gram = parse_lattice_expr(" + ".join(SUMMANDS)).gram
     runs = _count_eliminations(monkeypatch)
-    lat = parse_lattice_expr("U(2) + E7(-1) + A1")
+    lat = IntLattice(gram)
     assert lat.determinant() == 16
     assert lat.signature() == Signature(2, 8)
     assert lat.determinant() == 16
@@ -272,6 +297,15 @@ def test_determinant_then_signature_share_one_elimination(monkeypatch):
     other = IntLattice(lat.gram)
     assert other.determinant() == 16
     assert runs == [lat, other]  # the cache is per lattice, never shared
+    monkeypatch.undo()
+    parsed, parts = _parse_counting_parts(monkeypatch)
+    assert parsed.determinant() == 16
+    assert parsed.signature() == Signature(2, 8)
+    assert parsed.determinant() == 16
+    assert len(parts) == 3
+    # a summand object that repeats is eliminated once
+    assert parse_lattice_expr("U + 2*E8(-1)").signature() == Signature(1, 17)
+    assert len(parts) == 5
 
 
 DEGENERATE = (((2, 2), (2, 2)), ((0,),), ((0, 0), (0, 0)), ((2, 0, 0), (0, 0, 0), (0, 0, 4)))

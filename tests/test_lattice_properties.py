@@ -185,6 +185,24 @@ def test_direct_sum_multiplicativity(g1, g2):
     total = direct_sum(a, b)
     assert total.rank == a.rank + b.rank
     assert total.determinant() == a.determinant() * b.determinant()
+    assert_full_gram_invariants(total)
+    degenerate = direct_sum(a, IntLattice(((0,),)), b)
+    assert degenerate.determinant() == 0
+    assert_full_gram_invariants(degenerate)
+
+
+def assert_full_gram_invariants(total):
+    """A sum's invariants, taken from its parts, are those of its whole Gram."""
+    whole = IntLattice(total.gram)
+    assert total.determinant() == whole.determinant()
+    if whole.determinant():
+        assert total.signature() == whole.signature()
+        return
+    for lat in (total, whole):
+        with pytest.raises(LatticeError, match="degenerate"):
+            lat.signature()
+        with pytest.raises(LatticeError, match="degenerate"):
+            lat.discriminant()
 
 
 @given(even_grams, st.integers(-3, 3).filter(bool))
