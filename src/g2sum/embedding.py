@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Final, Iterable, NamedTuple, TYPE_CHECKING
 
 from .catalog import EMPTY, fixed_locus, mirror_key
-from .lattice_core import LatticeError, Signature, standard_lattice
+from .lattice_core import LatticeError, Signature, parse_lattice_expr
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from .building_blocks import BuildingBlock
@@ -84,18 +84,18 @@ def nikulin_sufficient(
     return EmbeddingVerdict(SUFFICIENT, "numeric")
 
 
-# Signature and rank of 2*E8_NEG + 2*H, computed once at import: the sum of
-# its summands' signatures, one E8_NEG and one H elimination.
-_AMBIENT_SIG: Final = standard_lattice("TWO_E8_TWO_H").signature()
+# Signature and rank of 2*E8(-1) + 2*U, computed once at import: the sum of
+# its summands' signatures, one E8(-1) and one U elimination.
+_AMBIENT_SIG: Final = parse_lattice_expr("2*E8(-1) + 2*U").signature()
 _AMBIENT_RANK: Final = sum(_AMBIENT_SIG)
 
 
 def embeds_in_2e8_2h(parts: Iterable[tuple[int, int, Signature]]) -> EmbeddingVerdict:
-    """Numeric sufficiency for embedding a direct sum into 2*E8_NEG + 2*H.
+    """Numeric sufficiency for embedding a direct sum into 2*E8(-1) + 2*U.
 
     ``parts`` lists ``(rank, l_bound, signature)`` per summand; ranks,
     l-values and signatures are additive over a direct sum.  The signature
-    gate is taken from the ambient lattice's summands E8_NEG and H, whose
+    gate is taken from the ambient lattice's summands E8(-1) and U, whose
     signatures add (t+ <= 2, t- <= 18).
     """
     rk_total = 0
@@ -122,14 +122,14 @@ def _mirror_pair_rule(b1: "BuildingBlock", b2: "BuildingBlock") -> str | None:
     return None
 
 
-# The involution classes of 2*E8_NEG + H and 2*E8_NEG + <2>.
+# The involution classes with catalog sources U + 2*E8(-1) and 2*E8(-1) + <2>.
 LARGE_RANK_ANCHORS: Final = ((18, 0, 0), (17, 1, 1))
 
 
 def _large_rank_rank_one_rule(b1: "BuildingBlock", b2: "BuildingBlock") -> str | None:
-    """The rank-18 and rank-17 lattices 2*E8_NEG + H and 2*E8_NEG + <2>
-    embed into 2*E8_NEG + H; their sum with any even rank-one lattice
-    therefore embeds into the full 2*E8_NEG + 2*H."""
+    """The rank-18 and rank-17 lattices U + 2*E8(-1) and 2*E8(-1) + <2>
+    embed into U + 2*E8(-1); their sum with any even rank-one lattice
+    therefore embeds into the full 2*E8(-1) + 2*U."""
     for big, small in ((b1, b2), (b2, b1)):
         t = big.triple
         if t is not None and t.key in LARGE_RANK_ANCHORS and small.rank == 1:
@@ -142,7 +142,7 @@ def matching_condition(b1: "BuildingBlock", b2: "BuildingBlock") -> MatchCertifi
 
     Condition A holds when the two polarizing lattices (signatures
     (1, r-1), l bounded per block kind) numerically embed into
-    2*E8_NEG + 2*H, or when the mirror-pair or large-rank rule fires.
+    2*E8(-1) + 2*U, or when the mirror-pair or large-rank rule fires.
     Condition B is the rank bound max(r1, r2) <= 10.  Blocks of the
     fixed-point-free non-symplectic class (10,10,0) are rejected.
     """

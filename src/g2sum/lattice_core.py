@@ -8,21 +8,20 @@ elimination, computed once per lattice, and discriminant groups via the
 integer Smith normal form with unimodular transforms tracked.  No floating
 point and no rationals anywhere.
 
-A lattice built by ``direct_sum`` (every parsed expression, and ``K3``,
-``TWO_E8_TWO_H``, ``L_18_0_0``, ``L_17_1_1``) is never eliminated itself:
-its signature is the sum and its determinant the product of its
-summands', each summand object eliminated once.  Its Smith form is still
-computed on its whole Gram matrix.
+A lattice built by ``direct_sum`` (every parsed expression) is never
+eliminated itself: its signature is the sum and its determinant the
+product of its summands', each summand object eliminated once.  Its Smith
+form is still computed on its whole Gram matrix.
 
-Conventions
------------
-* ``H`` is the hyperbolic plane ``[[0, 1], [1, 0]]``.
-* ``E8_NEG`` is the negative definite even unimodular rank-8 lattice,
-  i.e. minus the E8 Cartan matrix (Dynkin tree with arms 1, 2, 4 from the
-  trivalent node).
-* ``RANK1`` is the rank-one lattice spanned by a vector of square ``k``
-  (``k`` even and nonzero, so the lattice is even).
-* ``K3`` is ``2*E8_NEG + 3*H``: rank 22, signature (3, 19).
+Lattices are named by direct-sum expressions (:func:`parse_lattice_expr`):
+``term (+ term)*``, where a term is an optional positive multiplicity
+``n*`` followed by ``U`` (or ``H``), the hyperbolic plane
+``[[0, 1], [1, 0]]``; a positive definite root lattice ``A1``, ``Dn``
+(n >= 3), ``E7`` or ``E8``; or ``<k>``, the rank-one lattice spanned by a
+vector of square ``k`` (even and nonzero, so the lattice is even).  ``U``
+and the root lattices take an optional rescale suffix ``(s)``.  So
+``E8(-1)`` is the negative definite even unimodular rank-8 lattice, and
+the K3 lattice is ``2*E8(-1) + 3*U``: rank 22, signature (3, 19).
 
 The discriminant group of a nondegenerate lattice ``N`` is the finite
 abelian group ``N*/N``; its order is ``|det gram|`` and its minimal number
@@ -402,57 +401,7 @@ def _tree_gram(arms: tuple[int, ...]) -> list[list[int]]:
     return g
 
 
-_HYPERBOLIC = ((0, 1), (1, 0))
-
-
-def _root_lattice(name: str) -> IntLattice:
-    """Positive definite root lattice by Dynkin name (A1, Dn for n>=3, E7, E8)."""
-    if name == "A1":
-        return IntLattice(((2,),))
-    if name == "E8":
-        return IntLattice(_tree_gram((1, 2, 4)))
-    if name == "E7":
-        return IntLattice(_tree_gram((1, 2, 3)))
-    m = re.fullmatch(r"D(\d+)", name)
-    if m:
-        n = int(m.group(1))
-        if n < 3:
-            raise LatticeError(f"D{n} is not a valid root lattice here (need n >= 3)")
-        return IntLattice(_tree_gram((1, 1, n - 3)))
-    raise LatticeError(f"unknown root lattice {name!r}")
-
-
-def standard_lattice(name: str, k: int | None = None) -> IntLattice:
-    """Named lattices used throughout: E8_NEG, H, K3, TWO_E8_TWO_H,
-    L_18_0_0, L_17_1_1, and RANK1 with its square ``k`` even and nonzero.
-    """
-    if name == "RANK1":
-        if k is None:
-            raise LatticeError("RANK1 requires a square k")
-        if k == 0 or k % 2 != 0:
-            raise LatticeError(f"RANK1 square must be even and nonzero, got {k}")
-        return IntLattice(((k,),))
-    if k is not None:
-        raise LatticeError(f"{name} takes no parameter")
-    e8_neg = _root_lattice("E8").rescale(-1)
-    h = IntLattice(_HYPERBOLIC)
-    if name == "E8_NEG":
-        return e8_neg
-    if name == "H":
-        return h
-    if name == "K3":
-        return direct_sum(e8_neg, e8_neg, h, h, h)
-    if name == "TWO_E8_TWO_H":
-        return direct_sum(e8_neg, e8_neg, h, h)
-    if name == "L_18_0_0":
-        return direct_sum(e8_neg, e8_neg, h)
-    if name == "L_17_1_1":
-        return direct_sum(e8_neg, e8_neg, IntLattice(((2,),)))
-    raise LatticeError(f"unknown standard lattice {name!r}")
-
-
-_EXPR_ROOT = re.compile(r"(?:(\d+)\*)?(U|H|A1|E7|E8|D\d+)(?:\((-?\d+)\))?")
-_EXPR_RANK1 = re.compile(r"(?:(\d+)\*)?<(-?\d+)>")
+_EXPR_TERM = re.compile(r"(?:(\d+)\*)?(?:<(-?\d+)>|(U|H|A1|E7|E8|D(\d+))(?:\((-?\d+)\))?)")
 
 
 def _expr_terms(text: str) -> Iterator[IntLattice]:
@@ -460,21 +409,32 @@ def _expr_terms(text: str) -> Iterator[IntLattice]:
         term = raw.strip()
         if not term:
             raise LatticeError(f"empty term in lattice expression {text!r}")
-        m = _EXPR_RANK1.fullmatch(term)
-        if m:
-            count = int(m.group(1) or 1)
-            base = standard_lattice("RANK1", int(m.group(2)))
-            scale = None
+        m = _EXPR_TERM.fullmatch(term)
+        if not m:
+            raise LatticeError(f"cannot parse lattice term {term!r}")
+        count, square, name, d_rank, scale = m.groups()
+        if square is not None:
+            k = int(square)
+            if k == 0 or k % 2:
+                raise LatticeError(f"rank-one square must be even and nonzero, got {k}")
+            gram = ((k,),)
+        elif name in ("U", "H"):
+            gram = ((0, 1), (1, 0))
+        elif name == "A1":
+            gram = ((2,),)
+        elif name == "E7":
+            gram = _tree_gram((1, 2, 3))
+        elif name == "E8":
+            gram = _tree_gram((1, 2, 4))
         else:
-            m = _EXPR_ROOT.fullmatch(term)
-            if not m:
-                raise LatticeError(f"cannot parse lattice term {term!r}")
-            count = int(m.group(1) or 1)
-            name = m.group(2)
-            base = IntLattice(_HYPERBOLIC) if name in ("U", "H") else _root_lattice(name)
-            scale = int(m.group(3)) if m.group(3) is not None else None
+            n = int(d_rank)
+            if n < 3:
+                raise LatticeError(f"D{n} is not a valid root lattice here (need n >= 3)")
+            gram = _tree_gram((1, 1, n - 3))
+        base = IntLattice(gram)
         if scale is not None:
-            base = base.rescale(scale)
+            base = base.rescale(int(scale))
+        count = int(count or 1)
         if count < 1:
             raise LatticeError(f"term multiplicity must be positive in {term!r}")
         for _ in range(count):
@@ -482,12 +442,7 @@ def _expr_terms(text: str) -> Iterator[IntLattice]:
 
 
 def parse_lattice_expr(text: str) -> IntLattice:
-    """Build a lattice from a direct-sum expression.
-
-    Grammar: ``term (+ term)*`` where a term is an optional positive
-    multiplicity ``n*`` followed by ``U``/``H`` (hyperbolic plane), a root
-    lattice name (``A1``, ``Dn``, ``E7``, ``E8``) with optional rescale
-    suffix ``(s)``, or a rank-one lattice ``<k>``.
+    """Build a lattice from a direct-sum expression (grammar: module docstring).
 
     >>> parse_lattice_expr("U + 2*E8(-1)").signature()
     Signature(t_plus=1, t_minus=17)

@@ -22,7 +22,7 @@ from g2sum.embedding import (
 from g2sum.lattice_core import LatticeError, Signature
 import g2sum.embedding as embedding_mod
 
-E_GLUE = Signature(2, 18)  # 2*E8_NEG + 2*H
+E_GLUE = Signature(2, 18)  # 2*E8(-1) + 2*U
 E_K3 = Signature(3, 19)
 
 
@@ -85,7 +85,7 @@ def test_embeds_fano_pair_small_ranks():
 
 
 def test_emb_run_writes_only_the_banner_to_stderr():
-    # The ambient gate is read from the Gram matrix of 2*E8_NEG + 2*H, and
+    # The ambient gate is read from the parsed expression 2*E8(-1) + 2*U, and
     # a fresh process enumerating emb has nothing to say beyond the banner.
     assert embedding_mod._AMBIENT_SIG == (2, 18)
     proc = subprocess.run(

@@ -32,6 +32,7 @@ from g2sum.enumerator import (
     glue_betti,
 )
 from g2sum.embedding import matching_condition
+from g2sum.lattice_core import LatticeError
 
 MIRROR_BETTI = [(4, 35), (6, 41), (8, 47), (10, 53), (12, 59), (14, 65),
                 (16, 71), (18, 77), (20, 83), (22, 89), (24, 95)]
@@ -254,6 +255,13 @@ def test_emb_census_full_catalog(emb_records):
     assert counts.ordered == 16315
     assert counts.unordered_no_self == 8104
     assert len(distinct_betti(emb_records)) == 302
+
+
+def test_count_matched_pairs_rejects_non_emb_rows(fano, nikulin):
+    mirror = _census(fano, nikulin, (MIRROR,))[MIRROR]
+    assert mirror
+    with pytest.raises(LatticeError, match="count_matched_pairs expects EMB_\\* rows, got MIRROR"):
+        count_matched_pairs(mirror)
 
 
 def test_emb_modes_partition_records(emb_records):

@@ -11,7 +11,6 @@ from g2sum.lattice_core import (
     Signature,
     direct_sum,
     parse_lattice_expr,
-    standard_lattice,
 )
 
 A2 = IntLattice(((2, 1), (1, 2)))
@@ -74,7 +73,7 @@ def test_a2_invariants():
 
 
 def test_hyperbolic_plane():
-    h = standard_lattice("H")
+    h = parse_lattice_expr("U")
     assert h.gram == ((0, 1), (1, 0))
     assert h.determinant() == -1
     # zero diagonal exercises the congruence repair in the signature routine
@@ -84,7 +83,7 @@ def test_hyperbolic_plane():
 
 
 def test_e8_negative_definite():
-    e8 = standard_lattice("E8_NEG")
+    e8 = parse_lattice_expr("E8(-1)")
     assert e8.rank == 8
     assert e8.determinant() == 1
     assert e8.signature() == Signature(0, 8)
@@ -93,27 +92,27 @@ def test_e8_negative_definite():
 
 
 def test_k3_lattice():
-    k3 = standard_lattice("K3")
+    k3 = parse_lattice_expr("2*E8(-1) + 3*U")
     assert k3.rank == 22
     assert k3.signature() == Signature(3, 19)
     assert k3.determinant() == -1
 
 
 def test_ambient_gluing_lattice():
-    amb = standard_lattice("TWO_E8_TWO_H")
+    amb = parse_lattice_expr("2*E8(-1) + 2*U")
     assert amb.rank == 20
     assert amb.signature() == Signature(2, 18)
     assert amb.determinant() == 1
 
 
 def test_named_invariant_lattices():
-    l18 = standard_lattice("L_18_0_0")
+    l18 = parse_lattice_expr("2*E8(-1) + U")
     assert l18.rank == 18
     assert l18.signature() == Signature(1, 17)
     d = l18.discriminant()
     assert (d.l, d.is_2_elementary, d.delta) == (0, True, 0)
 
-    l17 = standard_lattice("L_17_1_1")
+    l17 = parse_lattice_expr("2*E8(-1) + A1")
     assert l17.rank == 17
     assert l17.signature() == Signature(1, 16)
     d = l17.discriminant()
@@ -121,16 +120,10 @@ def test_named_invariant_lattices():
 
 
 def test_rank_one_lattice():
-    assert standard_lattice("RANK1", 6).gram == ((6,),)
-    assert standard_lattice("RANK1", -2).signature() == Signature(0, 1)
-    with pytest.raises(LatticeError, match="square k"):
-        standard_lattice("RANK1")
+    assert parse_lattice_expr("<6>").gram == ((6,),)
+    assert parse_lattice_expr("<-2>").signature() == Signature(0, 1)
     with pytest.raises(LatticeError, match="even and nonzero"):
-        standard_lattice("RANK1", 0)
-    with pytest.raises(LatticeError, match="no parameter"):
-        standard_lattice("H", 3)
-    with pytest.raises(LatticeError, match="unknown standard lattice"):
-        standard_lattice("NOPE")
+        parse_lattice_expr("<0>")
 
 
 def test_root_lattice_determinants():
@@ -150,7 +143,7 @@ def test_smith_normal_form_a2():
 
 
 def test_smith_normal_form_twisted_plane():
-    u2 = standard_lattice("H").rescale(2)
+    u2 = parse_lattice_expr("U").rescale(2)
     snf = u2.smith_normal_form()
     assert [snf.S[i][i] for i in range(2)] == [2, 2]
     d = u2.discriminant()
@@ -183,8 +176,8 @@ def test_odd_gram_not_even():
 
 
 def test_rescale():
-    assert standard_lattice("H").rescale(2).gram == ((0, 2), (2, 0))
-    assert standard_lattice("E8_NEG").rescale(-1).signature() == Signature(8, 0)
+    assert parse_lattice_expr("U").rescale(2).gram == ((0, 2), (2, 0))
+    assert parse_lattice_expr("E8(-1)").rescale(-1).signature() == Signature(8, 0)
     assert A2.rescale(3).determinant() == 3**2 * 3
     with pytest.raises(LatticeError, match="nonzero"):
         A2.rescale(0)
@@ -192,7 +185,7 @@ def test_rescale():
 
 def test_direct_sum():
     total = direct_sum(
-        standard_lattice("H"), standard_lattice("E8_NEG"), standard_lattice("RANK1", 2)
+        parse_lattice_expr("U"), parse_lattice_expr("E8(-1)"), parse_lattice_expr("<2>")
     )
     assert total.rank == 11
     assert total.signature() == Signature(2, 9)
@@ -226,6 +219,14 @@ def test_parse_lattice_expr_errors():
         parse_lattice_expr("<0>")
     with pytest.raises(LatticeError, match="n >= 3"):
         parse_lattice_expr("D2")
+    # a rank-one term takes no rescale suffix
+    with pytest.raises(LatticeError, match="cannot parse"):
+        parse_lattice_expr("<2>(3)")
+    with pytest.raises(LatticeError, match="even and nonzero"):
+        parse_lattice_expr("<3>")
+    # the D-rank check comes before the multiplicity check
+    with pytest.raises(LatticeError, match="n >= 3"):
+        parse_lattice_expr("0*D2")
 
 
 def test_module_doctests_pass():
@@ -253,20 +254,20 @@ def _count_eliminations(monkeypatch):
     return runs
 
 
-SUMMANDS = ("U(2)", "E7(-1)", "A1")
+SUMMANDS = ("U(2)", "E7(-1)", "A1", "3*<-2>")
 
 
 def _parse_counting_parts(monkeypatch):
     """Parse the sum of ``SUMMANDS`` with eliminations counted from then on.
 
-    Checks that the parse eliminates each of the three summand objects once
-    and the sum never.
+    Checks that the parse eliminates each of the four summand objects once,
+    the repeated ``<-2>`` included, and the sum never.
     """
-    grams = [parse_lattice_expr(term).gram for term in SUMMANDS]
+    grams = [parse_lattice_expr(term.rpartition("*")[2]).gram for term in SUMMANDS]
     runs = _count_eliminations(monkeypatch)
     lat = parse_lattice_expr(" + ".join(SUMMANDS))
     assert [part.gram for part in runs] == grams
-    assert len({id(part) for part in runs}) == 3 and all(part is not lat for part in runs)
+    assert len({id(part) for part in runs}) == 4 and all(part is not lat for part in runs)
     return lat, runs
 
 
@@ -274,38 +275,38 @@ def test_signature_then_determinant_share_one_elimination(monkeypatch):
     gram = parse_lattice_expr(" + ".join(SUMMANDS)).gram
     runs = _count_eliminations(monkeypatch)
     lat = IntLattice(gram)
-    assert lat.signature() == Signature(2, 8)
-    assert lat.determinant() == 16
-    assert lat.signature() == Signature(2, 8)
+    assert lat.signature() == Signature(2, 11)
+    assert lat.determinant() == -128
+    assert lat.signature() == Signature(2, 11)
     assert runs == [lat]
     monkeypatch.undo()
     parsed, parts = _parse_counting_parts(monkeypatch)
-    assert parsed.signature() == Signature(2, 8)
-    assert parsed.determinant() == 16
-    assert parsed.signature() == Signature(2, 8)
-    assert len(parts) == 3  # the sum's invariants come from its parts
+    assert parsed.signature() == Signature(2, 11)
+    assert parsed.determinant() == -128
+    assert parsed.signature() == Signature(2, 11)
+    assert len(parts) == 4  # the sum's invariants come from its parts
 
 
 def test_determinant_then_signature_share_one_elimination(monkeypatch):
     gram = parse_lattice_expr(" + ".join(SUMMANDS)).gram
     runs = _count_eliminations(monkeypatch)
     lat = IntLattice(gram)
-    assert lat.determinant() == 16
-    assert lat.signature() == Signature(2, 8)
-    assert lat.determinant() == 16
+    assert lat.determinant() == -128
+    assert lat.signature() == Signature(2, 11)
+    assert lat.determinant() == -128
     assert runs == [lat]
     other = IntLattice(lat.gram)
-    assert other.determinant() == 16
+    assert other.determinant() == -128
     assert runs == [lat, other]  # the cache is per lattice, never shared
     monkeypatch.undo()
     parsed, parts = _parse_counting_parts(monkeypatch)
-    assert parsed.determinant() == 16
-    assert parsed.signature() == Signature(2, 8)
-    assert parsed.determinant() == 16
-    assert len(parts) == 3
+    assert parsed.determinant() == -128
+    assert parsed.signature() == Signature(2, 11)
+    assert parsed.determinant() == -128
+    assert len(parts) == 4
     # a summand object that repeats is eliminated once
     assert parse_lattice_expr("U + 2*E8(-1)").signature() == Signature(1, 17)
-    assert len(parts) == 5
+    assert len(parts) == 6
 
 
 DEGENERATE = (((2, 2), (2, 2)), ((0,),), ((0, 0), (0, 0)), ((2, 0, 0), (0, 0, 0), (0, 0, 4)))

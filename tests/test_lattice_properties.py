@@ -23,7 +23,6 @@ from g2sum.lattice_core import (
     Signature,
     direct_sum,
     parse_lattice_expr,
-    standard_lattice,
 )
 
 SEED = 0x67327375  # "g2su"
@@ -143,8 +142,8 @@ def test_snf_battery_500():
 
 
 def test_delta_of_named_lattices():
-    assert standard_lattice("L_18_0_0").discriminant().delta == 0
-    assert standard_lattice("L_17_1_1").discriminant().delta == 1
+    assert parse_lattice_expr("2*E8(-1) + U").discriminant().delta == 0
+    assert parse_lattice_expr("2*E8(-1) + A1").discriminant().delta == 1
 
 
 # --- hypothesis exploration ------------------------------------------------

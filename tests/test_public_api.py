@@ -33,6 +33,11 @@ REMOVED = (
     "UNVERIFIED",
     "GlueResult",
     "open_betti",
+    "standard_lattice",
+    "_root_lattice",
+    "_HYPERBOLIC",
+    "_EXPR_ROOT",
+    "_EXPR_RANK1",
 )
 
 # Fields and properties deleted from the records that still exist.
