@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -203,6 +204,11 @@ def _read_rows(
     return pragmas, ((n, _typed_row(path, n, line, header)) for n, line in lines[1:])
 
 
+# An integer cell: an optional sign and ASCII digits, none of the ``_``
+# separators or other Unicode digits that ``int`` also reads.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _typed_row(path: Path, lineno: int, line: str, header: tuple[str, ...]) -> tuple:
     """One value per header column: ``id`` and ``source`` as stripped text,
     every other column as an integer."""
@@ -214,12 +220,10 @@ def _typed_row(path: Path, lineno: int, line: str, header: tuple[str, ...]) -> t
         if name in ("id", "source"):
             values.append(value.strip())
             continue
-        try:
-            values.append(int(value.strip()))
-        except ValueError:
-            raise CatalogError(
-                f"{path}:{lineno}: field {name!r} must be an integer, got {value!r}"
-            ) from None
+        text = value.strip()
+        if not _INTEGER.fullmatch(text):
+            raise CatalogError(f"{path}:{lineno}: field {name!r} must be an integer, got {value!r}")
+        values.append(int(text))
     return tuple(values)
 
 
@@ -358,12 +362,6 @@ def mirror_key(t: NikulinTriple) -> tuple[int, int, int] | None:
     if fixed_locus(t).kind == EMPTY or (14, 6, 0) in (t.key, partner):
         return None
     return partner
-
-
-def mirror_partner(t: NikulinTriple, catalog: NikulinCatalog) -> NikulinTriple | None:
-    """The catalog triple at ``mirror_key(t)``; None without a key or a row."""
-    key = mirror_key(t)
-    return None if key is None else catalog.find(*key)
 
 
 def mirror_pairs(catalog: NikulinCatalog) -> list[tuple[NikulinTriple, NikulinTriple]]:

@@ -76,7 +76,16 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 
-_MODE_CHOICES = ("emb", "emb_a", "emb_b", "emb_c", "mirror", "seq", "large_rank")
+# Each mode's pair-space, and the emb clause it keeps (None keeps every class).
+_MODE_SPACES = {
+    "emb": ("emb", None),
+    "emb_a": ("emb", EMB_A),
+    "emb_b": ("emb", EMB_B),
+    "emb_c": ("emb", EMB_C),
+    "mirror": (MIRROR, None),
+    "seq": (SEQ, None),
+    "large_rank": (LARGE_RANK, None),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,11 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", parents=[common], help="check catalog invariants")
     p_enum = sub.add_parser("enumerate", parents=[common], help="emit full records")
-    p_enum.add_argument("mode", type=_normalize_mode, help="|".join(_MODE_CHOICES))
+    p_enum.add_argument("mode", type=_normalize_mode, help="|".join(_MODE_SPACES))
     p_list = sub.add_parser(
         "betti-list", parents=[common], help="emit distinct (b2, b3) pairs"
     )
-    p_list.add_argument("mode", type=_normalize_mode, help="|".join(_MODE_CHOICES))
+    p_list.add_argument("mode", type=_normalize_mode, help="|".join(_MODE_SPACES))
     sub.add_parser("table1", parents=[common], help="per-b2 summary of emb records")
     sub.add_parser("crosscheck", parents=[common], help="run all internal identities")
     return parser
@@ -110,9 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _normalize_mode(raw: str) -> str:
     mode = raw.strip().lower().replace("-", "_")
-    if mode not in _MODE_CHOICES:
+    if mode not in _MODE_SPACES:
         raise argparse.ArgumentTypeError(
-            f"unknown mode {raw!r} (choose from {', '.join(_MODE_CHOICES)})"
+            f"unknown mode {raw!r} (choose from {', '.join(_MODE_SPACES)})"
         )
     return mode
 
@@ -196,8 +205,7 @@ def _write_positions(
     non-negative ints to the run's distinct cell tuples, and ``index`` holds
     one key of ``parts`` per line.  A sequence cell is a tuple.  Only the
     parts some line uses are rendered, each once, into its segment of a
-    line; in text only they set the column widths.  A position whose lines
-    all use one part joins the run before it.  Each line is the
+    line; in text only they set the column widths.  Each line is the
     concatenation of its segments, and the lines are streamed to stdout
     rather than joined, so the rendered output is never held whole.  The
     bytes are those of ``csv.writer``, of ``json.dump({"rows": [...]},
@@ -206,16 +214,11 @@ def _write_positions(
     """
     out = sys.stdout
     cell, begin, sep, end = _FORMATS[fmt]
-    runs = []  # per kept position: its first field, the cells of each used part, its index
+    runs = []  # per position: its first field, the cells of each used part, its index
     start = 0
     for parts, index in positions:
         cells = {j: [cell(v) for v in parts[j]] for j in set(index)}
-        if len(cells) == 1 and runs:
-            (tail,) = cells.values()
-            for run in runs[-1][1].values():
-                run += tail
-        else:
-            runs.append((start, cells, index))
+        runs.append((start, cells, index))
         start += len(next(iter(cells.values()), ()))
     # A text cell is padded to its column's width; a json cell follows its key.
     widths = [len(f) if fmt == "text" else 0 for f in fields]
@@ -259,21 +262,14 @@ def _write_rows(rows: Sequence[tuple], fields: Sequence[str], fmt: str) -> None:
 
 
 _RECORD_FIELDS = tuple("b2 b3 mode n condition block1 block2 simply_connected flags".split())
-_SPACES = {"mirror": MIRROR, "seq": SEQ, "large_rank": LARGE_RANK}
-_EMB_CLAUSES = {"emb_a": EMB_A, "emb_b": EMB_B, "emb_c": EMB_C}
-
-
-def _of_clause(mode: str, rows: list) -> list:
-    """The ``rows`` of the emb clause that ``mode`` names; all of them for any other mode."""
-    clause = _EMB_CLAUSES.get(mode)
-    return rows if clause is None else [r for r in rows if r.mode == clause]
 
 
 def _mode_classes(
     mode: str, nikulin: NikulinCatalog, fano: FanoCatalog
 ) -> list[PairClass]:
-    space = _SPACES.get(mode, "emb")
-    return _of_clause(mode, _census(fano, nikulin, (space,))[space])
+    space, clause = _MODE_SPACES[mode]
+    classes = _census(fano, nikulin, (space,))[space]
+    return classes if clause is None else [c for c in classes if c.mode == clause]
 
 
 def _cmd_validate(
@@ -295,18 +291,17 @@ def _cmd_enumerate(
     classes = _mode_classes(args.mode, nikulin, fano)
     order, entries = _record_order(classes)
     # Every pair glues with n = 0 from simply connected blocks and keeps the
-    # rank condition, so the n, simply_connected and flags cells are constant.
+    # rank condition, so the n, simply_connected and flags cells are constant;
+    # the last two ride with the second block's label.
     heads: dict[tuple, int] = {}
     head_of = [
         heads.setdefault((c.b2, c.b3, c.mode, 0, c.certificate.condition), len(heads))
         for c in classes
     ]
-    labels = {e.order: (e.block.label,) for e in entries}
     positions = [
         (list(heads), [head_of[i] for i, _, _ in order]),
-        (labels, [p.order for _, p, _ in order]),
-        (labels, [q.order for _, _, q in order]),
-        ([(True, ())], [0] * len(order)),
+        ({e.order: (e.block.label,) for e in entries}, [p.order for _, p, _ in order]),
+        ({e.order: (e.block.label, True, ()) for e in entries}, [q.order for _, _, q in order]),
     ]
     _write_positions(positions, _RECORD_FIELDS, args.format)
     return EXIT_OK
@@ -330,7 +325,7 @@ def _cmd_table1(
     joyce: JoyceCatalog | None,
 ) -> int:
     b3_values: dict[int, list[int]] = {}
-    for b2, b3 in distinct_betti(_census(fano, nikulin, ("emb",))["emb"]):
+    for b2, b3 in distinct_betti(_mode_classes("emb", nikulin, fano)):
         b3_values.setdefault(b2, []).append(b3)
     rows = []
     for b2 in range(2, 19, 2):

@@ -16,13 +16,11 @@ the two rank-17/18 lattices paired with any rank-one lattice.
 
 from __future__ import annotations
 
-from typing import Final, Iterable, NamedTuple, TYPE_CHECKING
+from typing import Final, Iterable, NamedTuple
 
+from .building_blocks import BuildingBlock
 from .catalog import EMPTY, fixed_locus, mirror_key
 from .lattice_core import LatticeError, Signature, parse_lattice_expr
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
-    from .building_blocks import BuildingBlock
 
 SUFFICIENT: Final = "SUFFICIENT"
 SUFFICIENT_UNIQUE: Final = "SUFFICIENT_UNIQUE"
@@ -58,10 +56,6 @@ class MatchCertificate(NamedTuple):
     @property
     def has_cond_a(self) -> bool:
         return self.condition in (COND_A, BOTH)
-
-    @property
-    def has_cond_b(self) -> bool:
-        return self.condition in (COND_B, BOTH)
 
 
 def nikulin_sufficient(
@@ -110,7 +104,7 @@ def embeds_in_2e8_2h(parts: Iterable[tuple[int, int, Signature]]) -> EmbeddingVe
     return nikulin_sufficient(sig_n, rk_total, l_total, _AMBIENT_SIG, _AMBIENT_RANK)
 
 
-def _mirror_pair_rule(b1: "BuildingBlock", b2: "BuildingBlock") -> str | None:
+def _mirror_pair_rule(b1: BuildingBlock, b2: BuildingBlock) -> str | None:
     """Mirror pairs of invariant lattices embed with hyperbolic complements.
 
     Fires for two non-symplectic blocks whose triples are mirror partners
@@ -126,7 +120,7 @@ def _mirror_pair_rule(b1: "BuildingBlock", b2: "BuildingBlock") -> str | None:
 LARGE_RANK_ANCHORS: Final = ((18, 0, 0), (17, 1, 1))
 
 
-def _large_rank_rank_one_rule(b1: "BuildingBlock", b2: "BuildingBlock") -> str | None:
+def _large_rank_rank_one_rule(b1: BuildingBlock, b2: BuildingBlock) -> str | None:
     """The rank-18 and rank-17 lattices U + 2*E8(-1) and 2*E8(-1) + <2>
     embed into U + 2*E8(-1); their sum with any even rank-one lattice
     therefore embeds into the full 2*E8(-1) + 2*U."""
@@ -137,7 +131,7 @@ def _large_rank_rank_one_rule(b1: "BuildingBlock", b2: "BuildingBlock") -> str |
     return None
 
 
-def matching_condition(b1: "BuildingBlock", b2: "BuildingBlock") -> MatchCertificate:
+def matching_condition(b1: BuildingBlock, b2: BuildingBlock) -> MatchCertificate:
     """Certificate for the two known matching conditions of a block pair.
 
     Condition A holds when the two polarizing lattices (signatures

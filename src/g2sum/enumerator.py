@@ -144,9 +144,8 @@ def glue_betti(block1: BuildingBlock, block2: BuildingBlock) -> tuple[int, int]:
 class _Entry(NamedTuple):
     """One pooled block with what every pair it joins reads of it.
 
-    ``lattice`` and ``outcome`` are small ints, unique within one census, for
-    the block's lattice class and for everything a pair's outcome reads of
-    the block; ``position`` is its place in the pool and ``order`` its
+    ``lattice`` is a small int, unique within one census, for the block's
+    lattice class; ``position`` is its place in the pool and ``order`` its
     label's rank among the pool's labels.
     """
 
@@ -154,7 +153,6 @@ class _Entry(NamedTuple):
     size: int
     share: tuple[int, int]
     lattice: int
-    outcome: int
     position: int
     order: int
 
@@ -202,7 +200,7 @@ def _census(
     made.append((quartic_blowup_block(), (3, 27)))
     order = {label: i for i, label in enumerate(sorted({block.label for block, _ in made}))}
     ids: dict[tuple, int] = {}
-    members: dict[int, list[_Entry]] = {}
+    members: dict[tuple, list[_Entry]] = {}  # per outcome class, its blocks
     for position, (block, share) in enumerate(made):
         triple = block.triple
         lattice = (block.rank, block.l_bound, None if triple is None else triple.key)
@@ -212,11 +210,10 @@ def _census(
             block.rank + block.l_bound,
             share,
             ids.setdefault(lattice, len(ids)),
-            ids.setdefault(outcome, len(ids)),
             position,
             order[block.label],
         )
-        members.setdefault(e.outcome, []).append(e)
+        members.setdefault(outcome, []).append(e)
     # The quartic's group is the last; the others are ordered by size, and
     # stably, so in pool order within a size.
     *groups, quartic = map(tuple, members.values())

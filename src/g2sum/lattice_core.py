@@ -19,7 +19,8 @@ Lattices are named by direct-sum expressions (:func:`parse_lattice_expr`):
 ``[[0, 1], [1, 0]]``; a positive definite root lattice ``A1``, ``Dn``
 (n >= 3), ``E7`` or ``E8``; or ``<k>``, the rank-one lattice spanned by a
 vector of square ``k`` (even and nonzero, so the lattice is even).  ``U``
-and the root lattices take an optional rescale suffix ``(s)``.  So
+and the root lattices take an optional rescale suffix ``(s)``.  Every
+number is written in ASCII digits.  So
 ``E8(-1)`` is the negative definite even unimodular rank-8 lattice, and
 the K3 lattice is ``2*E8(-1) + 3*U``: rank 22, signature (3, 19).
 
@@ -401,7 +402,9 @@ def _tree_gram(arms: tuple[int, ...]) -> list[list[int]]:
     return g
 
 
-_EXPR_TERM = re.compile(r"(?:(\d+)\*)?(?:<(-?\d+)>|(U|H|A1|E7|E8|D(\d+))(?:\((-?\d+)\))?)")
+_EXPR_TERM = re.compile(
+    r"(?:(\d+)\*)?(?:<(-?\d+)>|(U|H|A1|E7|E8|D(\d+))(?:\((-?\d+)\))?)", re.ASCII
+)
 
 
 def _expr_terms(text: str) -> Iterator[IntLattice]:

@@ -18,8 +18,8 @@ from g2sum.catalog import (
     load_fano,
     load_joyce,
     load_nikulin,
+    mirror_key,
     mirror_pairs,
-    mirror_partner,
 )
 
 NIK_HEADER = "r,a,delta,source\n"
@@ -28,7 +28,7 @@ FANO_HEADER = "id,b2,b3,minus_k3,source\n"
 
 def write(tmp_path, text, name="cat.csv"):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return p
 
 
@@ -96,6 +96,12 @@ def test_data_dir_env_override(tmp_path, monkeypatch):
         ("2,0,2,x", "delta must be 0 or 1, got 2"),
         ("2,0,0", "expected 4 fields, got 3"),
         ("x,0,0,s", "field 'r' must be an integer"),
+        # a sign and ASCII digits are an integer; int() would also read "_"
+        # separators and other digits, here as (18, 0, 0) and (1, 1, 1)
+        ("+21,1,1,x", "r must be in 1..20, got 21"),
+        ("2,-2,0,x", "a must be in 0..11, got -2"),
+        ("1_8,0,0,x", "field 'r' must be an integer, got '1_8'"),
+        ("\u0661,1,1,x", "field 'r' must be an integer, got '\u0661'"),
     ],
 )
 def test_nikulin_row_rejects(tmp_path, row, message):
@@ -146,6 +152,8 @@ def test_missing_file_is_catalog_error(tmp_path):
         ("A,1,0,0,x", "-K\\^3 must be even and positive"),
         ("A,0,0,64,x", "b2 must be >= 1"),
         (",1,0,64,x", "family id must be nonempty"),
+        ("A,1_0,0,64,x", "field 'b2' must be an integer, got '1_0'"),
+        ("A,1,0,\uff16\uff14,x", "field 'minus_k3' must be an integer, got '\uff16\uff14'"),
     ],
 )
 def test_fano_row_rejects(tmp_path, row, message):
@@ -171,6 +179,21 @@ def test_joyce_is_none_only_for_the_absent_default(tmp_path, monkeypatch):
         load_joyce(tmp_path / "absent.csv")
     monkeypatch.setenv("G2SUM_DATA_DIR", str(tmp_path))
     assert load_joyce() is None
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("-1,5", "Betti numbers must be nonnegative"),
+        (" 1_9,5", "field 'b2' must be an integer, got '1_9'"),
+        ("9,\u0665\u0665", "field 'b3' must be an integer, got '\u0665\u0665'"),
+    ],
+)
+def test_joyce_row_rejects(tmp_path, row, message):
+    p = write(tmp_path, "b2,b3\n" + row + "\n")
+    with pytest.raises(CatalogError) as exc:
+        load_joyce(p)
+    assert f"{p}:2: {message}" in str(exc.value)
 
 
 def test_joyce_loads_when_given(tmp_path):
@@ -230,14 +253,15 @@ def test_fixed_locus_curve_counts():
 
 def test_mirror_partner(nikulin):
     t = nikulin.find(2, 0, 0)
-    assert mirror_partner(t, nikulin).key == (18, 0, 0)
+    assert nikulin.find(*mirror_key(t)).key == (18, 0, 0)
     # rank-10 classes can be their own partner
     t10 = nikulin.find(10, 4, 1)
-    assert mirror_partner(t10, nikulin).key == (10, 4, 1)
-    # excluded: r + a = 22, the (14,6,0) exception, and the free class
-    assert mirror_partner(nikulin.find(13, 9, 1), nikulin) is None
-    assert mirror_partner(nikulin.find(14, 6, 0), nikulin) is None
-    assert mirror_partner(nikulin.find(10, 10, 0), nikulin) is None
+    assert nikulin.find(*mirror_key(t10)).key == (10, 4, 1)
+    # excluded: r + a = 22 has no catalog partner; the (14,6,0) exception
+    # and the free class have no key
+    assert nikulin.find(*mirror_key(nikulin.find(13, 9, 1))) is None
+    assert mirror_key(nikulin.find(14, 6, 0)) is None
+    assert mirror_key(nikulin.find(10, 10, 0)) is None
 
 
 def test_mirror_pairs_census(nikulin):

@@ -320,7 +320,8 @@ def test_unknown_mode_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "bogus"])
     assert exc.value.code == 2
-    assert "unknown mode 'bogus'" in capsys.readouterr().err
+    choices = "emb, emb_a, emb_b, emb_c, mirror, seq, large_rank"
+    assert f"unknown mode 'bogus' (choose from {choices})" in capsys.readouterr().err
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -227,6 +227,10 @@ def test_parse_lattice_expr_errors():
     # the D-rank check comes before the multiplicity check
     with pytest.raises(LatticeError, match="n >= 3"):
         parse_lattice_expr("0*D2")
+    # numbers are ASCII digits only: Arabic-Indic two and four do not parse
+    for text in ("\u0662*U", "D\u0664", "<\u0664>", "U(\u0662)"):
+        with pytest.raises(LatticeError, match="cannot parse"):
+            parse_lattice_expr(text)
 
 
 def test_module_doctests_pass():

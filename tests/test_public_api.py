@@ -38,6 +38,11 @@ REMOVED = (
     "_HYPERBOLIC",
     "_EXPR_ROOT",
     "_EXPR_RANK1",
+    "mirror_partner",
+    "_MODE_CHOICES",
+    "_SPACES",
+    "_EMB_CLAUSES",
+    "_of_clause",
 )
 
 # Fields and properties deleted from the records that still exist.
@@ -45,7 +50,7 @@ REMOVED_ATTRIBUTES = {
     g2sum.enumerator.G2Record: ("n", "flags", "verified", "simply_connected"),
     g2sum.enumerator.PairClass: ("flags",),
     g2sum.building_blocks.BuildingBlock: ("simply_connected",),
-    g2sum.embedding.MatchCertificate: ("rank_bound_b",),
+    g2sum.embedding.MatchCertificate: ("rank_bound_b", "has_cond_b"),
 }
 
 
