@@ -15,9 +15,11 @@ Three CSV catalogs drive the enumerations:
 
 Rows are read by one reader, which checks the field count against the
 header and parses every column except ``id`` and ``source`` as an
-integer; each loader then checks its own row rules.  Validation is
-strict: any malformed row rejects the whole file with a ``path:line``
-diagnostic.  Loaded catalogs are immutable.
+integer; each loader then checks its own row rules.  A line ends only at
+a line ending, and a line or an integer cell is padded only with ASCII
+space and tab, so U+2028 does not end a row and U+00A0 is not padding.
+Validation is strict: any malformed row rejects the whole file with a
+``path:line`` diagnostic.  Loaded catalogs are immutable.
 
 The loaders own catalog I/O.  A file that cannot be read (missing, a
 directory, a failed read) raises ``OSError`` whose message names the
@@ -162,6 +164,10 @@ def default_data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
+# What a catalog line and an integer cell may be padded with: ASCII space and tab.
+_BLANK = " \t"
+
+
 def _read_rows(
     path: Path, header: tuple[str, ...]
 ) -> tuple[set[str], Iterator[tuple[int, tuple]]]:
@@ -184,8 +190,11 @@ def _read_rows(
         if exc.filename is None:
             exc.filename = str(path)
         raise
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    # ``read_text`` has turned every line ending into "\n", the only one a
+    # catalog has: ``splitlines`` would also break a line at U+2028, U+0085,
+    # form feed and the like.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip(_BLANK)
         if not line:
             continue
         if line.startswith("#"):
@@ -220,7 +229,7 @@ def _typed_row(path: Path, lineno: int, line: str, header: tuple[str, ...]) -> t
         if name in ("id", "source"):
             values.append(value.strip())
             continue
-        text = value.strip()
+        text = value.strip(_BLANK)
         if not _INTEGER.fullmatch(text):
             raise CatalogError(f"{path}:{lineno}: field {name!r} must be an integer, got {value!r}")
         values.append(int(text))

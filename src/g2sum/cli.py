@@ -11,12 +11,14 @@ Subcommands:
 * ``crosscheck``        run every internal identity: the fixed-curve
                         recomputation for all involution classes, and the
                         closed-form-vs-gluing identity and the rank
-                        condition once per pair class of all four
+                        condition once per pair class of all six
                         pair-spaces, decided over one pool.
 
-Every command reads the pair classes of the enumerator's census, and none
-builds a record: ``betti-list``, ``table1`` and ``crosscheck`` read the
-classes' weights, and ``enumerate`` renders the classes' record order.
+Every command reads the pair classes of the enumerator's census, deciding
+only the pair-spaces it reports, so it checks the identities of exactly
+those classes.  None builds a record: ``betti-list``, ``table1`` and
+``crosscheck`` read the classes' weights, and ``enumerate`` renders the
+classes' record order.
 
 Data rows go to stdout, diagnostics to stderr.  Exit status: 0 success,
 1 bad catalog data or an identity failure, 2 a catalog that cannot be
@@ -76,15 +78,15 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 
-# Each mode's pair-space, and the emb clause it keeps (None keeps every class).
+# Each mode's pair-spaces: ``emb`` is the three clauses together.
 _MODE_SPACES = {
-    "emb": ("emb", None),
-    "emb_a": ("emb", EMB_A),
-    "emb_b": ("emb", EMB_B),
-    "emb_c": ("emb", EMB_C),
-    "mirror": (MIRROR, None),
-    "seq": (SEQ, None),
-    "large_rank": (LARGE_RANK, None),
+    "emb": (EMB_A, EMB_B, EMB_C),
+    "emb_a": (EMB_A,),
+    "emb_b": (EMB_B,),
+    "emb_c": (EMB_C,),
+    "mirror": (MIRROR,),
+    "seq": (SEQ,),
+    "large_rank": (LARGE_RANK,),
 }
 
 
@@ -267,9 +269,9 @@ _RECORD_FIELDS = tuple("b2 b3 mode n condition block1 block2 simply_connected fl
 def _mode_classes(
     mode: str, nikulin: NikulinCatalog, fano: FanoCatalog
 ) -> list[PairClass]:
-    space, clause = _MODE_SPACES[mode]
-    classes = _census(fano, nikulin, (space,))[space]
-    return classes if clause is None else [c for c in classes if c.mode == clause]
+    spaces = _MODE_SPACES[mode]
+    census = _census(fano, nikulin, spaces)
+    return [c for space in spaces for c in census[space]]
 
 
 def _cmd_validate(
@@ -357,8 +359,9 @@ def _cmd_crosscheck(
             )
     rows = [("euler_crosscheck", checked, "FAIL" if failures else "OK")]
 
-    census = _census(fano, nikulin, ("emb", MIRROR, SEQ, LARGE_RANK))
-    emb = census["emb"]
+    emb_spaces = _MODE_SPACES["emb"]
+    census = _census(fano, nikulin, (*emb_spaces, MIRROR, SEQ, LARGE_RANK))
+    emb = [c for space in emb_spaces for c in census[space]]
     every = [c for classes in census.values() for c in classes]
     rows.append(("closed_vs_glue", sum(c.weight for c in every), "OK"))
 

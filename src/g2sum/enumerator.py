@@ -12,36 +12,44 @@ involution class but the fixed-point-free (10,10,0), then the quartic
 blow-up block).  A block's *size* is ``rank + l_bound``; a pair of
 total size below 20 passes the numeric embedding criterion.
 
-* ``emb``         every unordered pool pair of size below 20, the quartic
-                  aside; its clause ``EMB_A``/``EMB_B``/``EMB_C`` is the
-                  pair's kinds: Fano x Fano, Fano x involution, involution
-                  x involution;
+* ``EMB_A``       every unordered pair of Fano blocks of size below 20;
+* ``EMB_B``       every Fano block against every involution block, size
+                  below 20;
+* ``EMB_C``       every unordered pair of involution blocks of size below
+                  20 (the three are the clauses of the matched pairs, and
+                  the library's and the CLI's ``emb`` is their union);
 * ``MIRROR``      the pairs of ``catalog.mirror_pairs``, which must also
                   satisfy b3 = 3 b2 + 23;
 * ``SEQ``         the quartic block against every pool block, size below 20;
 * ``LARGE_RANK``  (18,0,0) and (17,1,1) against every rank-1 block: the
                   rank-1 Fano families, the (1,1,1) class and the quartic.
 
-A pair's outcome (its clause, certificate, ``glue_betti`` result and
-identity checks) reads only each block's kind, lattice class
+A pair's outcome (its certificate, ``glue_betti`` result and identity
+checks) reads only each block's kind, lattice class
 ``(rank, l_bound, triple)``, gluing inputs ``(b2_bar, b3_bar, d)`` and
 catalog share ``(d, e)``: its *outcome class*.  The *census* is the one
-loop that decides outcomes.  It builds Fano blocks only for a space that
-reads them (all but ``MIRROR``) and sorts the pool's outcome groups by
-size, stably; the quartic stays aside.  Each space reads only the groups:
-``emb`` pairs a group with the slice from itself to the first group of
-size 20 minus its own, ``SEQ`` the quartic with the slice below size 18,
-and ``MIRROR`` and ``LARGE_RANK`` name their one-block involution groups
-by triple key, so no pair is tested and rejected.  Each admitted pair of
-groups, a group possibly with itself, is decided once, from their first
-members; the certificate, which reads only the lattice classes, is
-decided once per unordered pair of those over all the spaces.  Each
-decided ``PairClass`` carries its *weight*, the number of block pairs it
-stands for: m * m' for two groups of m and m' blocks, m (m + 1) / 2 for a
-group of m paired with itself, m of them *diagonal* (a block with itself).
+loop that decides outcomes, for the spaces it is asked for and no other.
+It builds Fano blocks only for a space that reads them (all but
+``MIRROR`` and ``EMB_C``), involution blocks unless ``EMB_A`` is the only
+space, and sorts the pool's outcome groups by size, stably; the quartic
+stays aside.  Each space reads only the groups: ``EMB_A`` and ``EMB_C``
+pair a group of their kind with the slice of that kind's groups from
+itself to the first of size 20 minus its own, ``EMB_B`` a Fano group
+with the involution groups below that size, ``SEQ`` the quartic with the
+groups below size 18, and ``MIRROR`` and ``LARGE_RANK`` name their
+one-block involution groups by triple key, so no pair is tested and
+rejected.  Each admitted pair of groups, a group possibly with itself,
+is decided once, from their first members; the certificate, which reads
+only the lattice classes, is decided once per unordered pair of those
+over all the spaces.  Each decided ``PairClass`` carries its space as its
+mode, and its *weight*, the number of block pairs it stands for: m * m'
+for two groups of m and m' blocks, m (m + 1) / 2 for a group of m paired
+with itself, m of them *diagonal* (a block with itself).
 
 Two readers sit on the census.  ``_record_order`` lists each pair of the
-classes as (class index, entry, entry) in record order, and hands back
+classes as (class index, entry, entry) in record order, oriented per
+space: a clause pair puts its earlier pool block first (for ``EMB_B``,
+its Fano block), the other spaces their fixed side; it also hands back
 the entries of the classes' distinct groups it read for the sort;
 ``enumerate_*`` build their ``G2Record``s from the pairs, and the CLI
 renders them, its labels read from those entries, without building any.
@@ -65,7 +73,7 @@ so a failure means a transcription bug.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Final, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .building_blocks import (
     KIND_FANO,
@@ -177,12 +185,8 @@ class PairClass(NamedTuple):
     groups: tuple[tuple[_Entry, ...], tuple[_Entry, ...]]
 
 
-_CLAUSES: Final = {
-    (KIND_FANO, KIND_FANO): EMB_A,
-    (KIND_FANO, KIND_INVOLUTION): EMB_B,
-    (KIND_INVOLUTION, KIND_FANO): EMB_B,
-    (KIND_INVOLUTION, KIND_INVOLUTION): EMB_C,
-}
+def _group_size(group: tuple[_Entry, ...]) -> int:
+    return group[0].size
 
 
 def _census(
@@ -191,12 +195,15 @@ def _census(
     """The decided pair classes of each of ``spaces``, all drawn from one pool.
 
     The spaces are decided in the order given, so an identity failure is
-    reported for the first space that has one.
+    reported for the first space that has one.  An unknown space raises
+    ``ValueError``.
     """
-    made = [] if set(spaces) <= {MIRROR} else [(fano_block(f), (0, f.g + 2)) for f in fano]
-    for t in nikulin:
-        if fixed_locus(t).kind != EMPTY:
-            made.append((involution_block(t), (2 + t.r - t.a, 46 - t.r - 3 * t.a)))
+    wanted = set(spaces)
+    made = [] if wanted <= {MIRROR, EMB_C} else [(fano_block(f), (0, f.g + 2)) for f in fano]
+    if not wanted <= {EMB_A}:
+        for t in nikulin:
+            if fixed_locus(t).kind != EMPTY:
+                made.append((involution_block(t), (2 + t.r - t.a, 46 - t.r - 3 * t.a)))
     made.append((quartic_blowup_block(), (3, 27)))
     order = {label: i for i, label in enumerate(sorted({block.label for block, _ in made}))}
     ids: dict[tuple, int] = {}
@@ -215,25 +222,31 @@ def _census(
         )
         members.setdefault(outcome, []).append(e)
     # The quartic's group is the last; the others are ordered by size, and
-    # stably, so in pool order within a size.
+    # stably, so in pool order within a size, and then split by kind.
     *groups, quartic = map(tuple, members.values())
-    groups.sort(key=lambda g: g[0].size)
-    sizes = [g[0].size for g in groups]
-    by_key = {g[0].block.triple.key: g for g in groups if g[0].block.triple is not None}
+    groups.sort(key=_group_size)
+    fanos = [g for g in groups if g[0].block.kind == KIND_FANO]
+    involutions = [g for g in groups if g[0].block.kind == KIND_INVOLUTION]
+    by_key = {g[0].block.triple.key: g for g in involutions}
+
+    def below(pool: list, size: int, start: int = 0) -> list:
+        # The groups of ``pool`` from ``start`` on whose size is below 20 - ``size``.
+        return pool[start : bisect_left(pool, 20 - size, start, key=_group_size)]
 
     def group_pairs(space: str) -> list[tuple[tuple[_Entry, ...], tuple[_Entry, ...]]]:
         # A group's members share its size, rank and triple, so the numeric
         # spaces are slices of the size order and a triple key names a group.
-        if space == "emb":
-            return [
-                (g, h)
-                for i, g in enumerate(groups)
-                for h in groups[i : bisect_left(sizes, 20 - sizes[i])]
-            ]
+        if space == EMB_A or space == EMB_C:
+            pool = fanos if space == EMB_A else involutions
+            return [(g, h) for i, g in enumerate(pool) for h in below(pool, g[0].size, i)]
+        if space == EMB_B:
+            return [(g, h) for g in fanos for h in below(involutions, g[0].size)]
         if space == SEQ:
-            return [(quartic, h) for h in groups[: bisect_left(sizes, 20 - quartic[0].size)]]
+            return [(quartic, h) for h in below(groups, quartic[0].size)]
         if space == MIRROR:
             return [(by_key[t1.key], by_key[t2.key]) for t1, t2 in mirror_pairs(nikulin)]
+        if space != LARGE_RANK:
+            raise ValueError(f"unknown pair-space {space!r}")
         for key in (*LARGE_RANK_ANCHORS, (1, 1, 1)):
             if key not in by_key:
                 raise CatalogError(f"large-rank enumeration needs triple {key} in the catalog")
@@ -246,13 +259,11 @@ def _census(
     # them across all the spaces.
     certificates: dict[tuple[int, int], MatchCertificate] = {}
     census: dict[str, list[PairClass]] = {}
-    for space in spaces:
-        emb = space == "emb"
-        classes = census[space] = []
-        for first, second in group_pairs(space):
+    for mode in spaces:
+        classes = census[mode] = []
+        for first, second in group_pairs(mode):
             p, q = first[0], second[0]
             block1, block2 = p.block, q.block
-            mode = _CLAUSES[block1.kind, block2.kind] if emb else space
             key = (p.lattice, q.lattice) if p.lattice <= q.lattice else (q.lattice, p.lattice)
             certificate = certificates.get(key)
             if certificate is None:
@@ -276,7 +287,7 @@ def _census(
                     f"{mode} pair {block1.label} x {block2.label} breaks the rank "
                     f"condition: (b2_bar - 1 - d) sums to {excess} > 22"
                 )
-            if space == MIRROR and b3 != 3 * b2 + 23:
+            if mode == MIRROR and b3 != 3 * b2 + 23:
                 raise IdentityError(
                     f"mirror pair {block1.label} x {block2.label} gives {glue}, "
                     "off the line b3 = 3 b2 + 23"
@@ -297,21 +308,24 @@ def _record_order(
     and the entries of the classes' distinct groups.
 
     The pairs come in record order: sorted on (b2, b3, mode, label ranks).
-    An emb pair puts its earlier pool block first; the other spaces put
-    their fixed side first: the quartic, the mirror triple with r <= 10,
-    the large-rank anchor.  The entries are those the pairs draw from, each
-    once, for a reader that needs them without another pass over the
-    classes.
+    A pair of the three clause spaces puts its earlier pool block first;
+    the other spaces put their fixed side first: the quartic, the mirror
+    triple with r <= 10, the large-rank anchor.  The entries are those the
+    pairs draw from, each once, for a reader that needs them without
+    another pass over the classes.
     """
     pairs: list[tuple[int, _Entry, _Entry]] = []
     for i, (_, _, mode, _, _, _, (first, second)) in enumerate(classes):
         if first is second:
             pairs += [(i, p, q) for j, p in enumerate(first) for q in first[j:]]
-        elif mode in _CLAUSES.values():
+        elif mode == EMB_A or mode == EMB_C:
+            # Two groups of one kind are in size order, not pool order.
             pairs += [
                 (i, p, q) if p.position < q.position else (i, q, p) for p in first for q in second
             ]
         else:
+            # An EMB_B class's first group is its Fano side, which the pool
+            # puts before every involution block.
             pairs += [(i, p, q) for p in first for q in second]
     # Each pair's sort key is one int, which sorts as the tuple (rank of its
     # class's (b2, b3, mode), label rank, label rank) would: ``width`` is above
@@ -326,9 +340,12 @@ def _record_order(
     return [pairs[k] for k in sorted(range(len(keys)), key=keys.__getitem__)], entries
 
 
-def _enumerate(space: str, fano: Iterable[FanoFamily], nikulin: NikulinCatalog) -> list[G2Record]:
-    """The records of one pair-space, in ``_record_order``."""
-    classes = _census(fano, nikulin, (space,))[space]
+def _enumerate(
+    spaces: Sequence[str], fano: Iterable[FanoFamily], nikulin: NikulinCatalog
+) -> list[G2Record]:
+    """The records of the pair-spaces ``spaces`` together, in ``_record_order``."""
+    census = _census(fano, nikulin, spaces)
+    classes = [c for space in spaces for c in census[space]]
     heads = [c[:4] for c in classes]
     return [
         G2Record(*heads[i], (p.block, q.block))
@@ -338,22 +355,22 @@ def _enumerate(space: str, fano: Iterable[FanoFamily], nikulin: NikulinCatalog) 
 
 def enumerate_emb(fano: FanoCatalog, nikulin: NikulinCatalog) -> list[G2Record]:
     """All unordered Fano/involution pairs with (rank + l_bound) sum below 20."""
-    return _enumerate("emb", fano, nikulin)
+    return _enumerate((EMB_A, EMB_B, EMB_C), fano, nikulin)
 
 
 def enumerate_mirror(nikulin: NikulinCatalog) -> list[G2Record]:
     """One record per mirror pair (r, a, delta) / (20 - r, a, delta)."""
-    return _enumerate(MIRROR, (), nikulin)
+    return _enumerate((MIRROR,), (), nikulin)
 
 
 def enumerate_seq(fano: FanoCatalog, nikulin: NikulinCatalog) -> list[G2Record]:
     """The quartic blow-up block against every partner with size sum below 20."""
-    return _enumerate(SEQ, fano, nikulin)
+    return _enumerate((SEQ,), fano, nikulin)
 
 
 def enumerate_large_rank(fano: FanoCatalog, nikulin: NikulinCatalog) -> list[G2Record]:
     """(18,0,0) and (17,1,1) against every rank-1 block: 38 over the complete catalogs."""
-    return _enumerate(LARGE_RANK, fano, nikulin)
+    return _enumerate((LARGE_RANK,), fano, nikulin)
 
 
 def distinct_betti(rows: Iterable[G2Record | PairClass]) -> tuple[tuple[int, int], ...]:

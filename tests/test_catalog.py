@@ -102,6 +102,12 @@ def test_data_dir_env_override(tmp_path, monkeypatch):
         ("2,-2,0,x", "a must be in 0..11, got -2"),
         ("1_8,0,0,x", "field 'r' must be an integer, got '1_8'"),
         ("\u0661,1,1,x", "field 'r' must be an integer, got '\u0661'"),
+        # only ASCII space and tab pad a line or a cell; str.strip() would
+        # also take U+00A0 (no-break space) away and read 2
+        ("\u00a02,0,0,x", "field 'r' must be an integer, got '\\xa02'"),
+        ("2, \u00a00,0,x", "field 'a' must be an integer, got ' \\xa00'"),
+        # U+2028 does not end a row; splitlines() would make two
+        ("2,0,0,x\u20282,2,0,y", "expected 4 fields, got 7"),
     ],
 )
 def test_nikulin_row_rejects(tmp_path, row, message):
@@ -110,6 +116,23 @@ def test_nikulin_row_rejects(tmp_path, row, message):
         load_nikulin(p)
     assert f"{p}:2: " in str(exc.value)
     assert message in str(exc.value)
+
+
+def test_only_a_line_ending_ends_a_row(tmp_path):
+    # U+2028, U+0085 and form feed stay inside a source cell, a tab pads a
+    # line, and each row keeps its own line number.
+    rows = "2,0,0,x\u2028y\n2,2,0,a\u0085b\x0cc\n\t3,1,1, z \n"
+    p = write(tmp_path, NIK_HEADER + rows)
+    cat = load_nikulin(p)
+    assert [(t.key, t.source) for t in cat] == [
+        ((2, 0, 0), "x\u2028y"),
+        ((2, 2, 0), "a\u0085b\x0cc"),
+        ((3, 1, 1), "z"),
+    ]
+    p = write(tmp_path, NIK_HEADER + rows + "2,0,0,w\n")
+    with pytest.raises(CatalogError) as exc:
+        load_nikulin(p)
+    assert str(exc.value) == f"{p}:5: duplicate triple (2,0,0)"
 
 
 def test_nikulin_duplicate_reported_on_second_line(tmp_path):

@@ -40,6 +40,7 @@ from g2sum.enumerator import (
     SEQ,
     PairCounts,
     _census,
+    _record_order,
     compare_joyce,
     count_matched_pairs,
     distinct_betti,
@@ -51,6 +52,7 @@ from g2sum.enumerator import (
 
 # The triples the large-rank pairs need, in the order their absence is reported.
 LARGE_RANK_NEEDS = ((18, 0, 0), (17, 1, 1), (1, 1, 1))
+EMB = (EMB_A, EMB_B, EMB_C)
 CLAUSES = {
     (KIND_FANO, KIND_FANO): EMB_A,
     (KIND_FANO, KIND_INVOLUTION): EMB_B,
@@ -67,13 +69,14 @@ def oracle(fano, nikulin):
     def size(block):
         return block.rank + block.l_bound
 
-    spaces = {
-        "emb": [
-            (CLAUSES[p.kind, q.kind], p, q)
-            for i, p in enumerate(blocks)
-            for q in blocks[i:]
-            if size(p) + size(q) < 20
-        ],
+    emb = [
+        (CLAUSES[p.kind, q.kind], p, q)
+        for i, p in enumerate(blocks)
+        for q in blocks[i:]
+        if size(p) + size(q) < 20
+    ]
+    spaces = {clause: [pair for pair in emb if pair[0] == clause] for clause in EMB}
+    spaces |= {
         MIRROR: [
             (MIRROR, involution_block(t1), involution_block(t2)) for t1, t2 in mirror_pairs(nikulin)
         ],
@@ -100,13 +103,21 @@ def oracle(fano, nikulin):
 
 
 def enumerate_space(space, fano, nikulin):
-    if space == "emb":
+    if space == EMB:
         return enumerate_emb(fano, nikulin)
     if space == MIRROR:
         return enumerate_mirror(nikulin)
     if space == SEQ:
         return enumerate_seq(fano, nikulin)
     return enumerate_large_rank(fano, nikulin)
+
+
+def record_rows(classes):
+    """The oracle's rows of ``classes``, in ``_record_order``."""
+    return [
+        (*classes[i][:3], p.block.label, q.block.label, classes[i].certificate)
+        for i, p, q in _record_order(classes)[0]
+    ]
 
 
 @st.composite
@@ -145,7 +156,7 @@ def sub_catalogs(draw, fano, nikulin):
 def test_census_and_records_match_the_all_pairs_oracle(fano, nikulin, data):
     fano_cat, nikulin_cat = data.draw(sub_catalogs(fano, nikulin))
     expected = oracle(fano_cat, nikulin_cat)
-    spaces = ("emb", MIRROR, SEQ, LARGE_RANK)
+    spaces = (*EMB, MIRROR, SEQ, LARGE_RANK)
     missing = [key for key in LARGE_RANK_NEEDS if nikulin_cat.find(*key) is None]
     if missing:
         message = re.escape(f"large-rank enumeration needs triple {missing[0]} in the catalog")
@@ -153,14 +164,19 @@ def test_census_and_records_match_the_all_pairs_oracle(fano, nikulin, data):
             _census(fano_cat, nikulin_cat, spaces)
         with pytest.raises(CatalogError, match=message):
             enumerate_large_rank(fano_cat, nikulin_cat)
-        spaces = spaces[:3]
+        spaces = spaces[:-1]
     census = _census(fano_cat, nikulin_cat, spaces)
     assert list(census) == list(spaces)
 
     joyce_pairs = {row[:2] for rows in expected.values() for row in rows[::3]} | {(1, 1)}
     joyce = JoyceCatalog(tuple(sorted(joyce_pairs)), complete=False)
-    for space in spaces:
-        rows, classes = expected[space], census[space]
+    # The emb mode is the three clause spaces together.
+    views = {space: (expected[space], census[space]) for space in spaces}
+    views[EMB] = (
+        sorted((row for clause in EMB for row in expected[clause]), key=lambda row: row[:5]),
+        [c for clause in EMB for c in census[clause]],
+    )
+    for space, (rows, classes) in views.items():
         assert distinct_betti(classes) == tuple(sorted({row[:2] for row in rows}))
         totals = Counter()
         for c in classes:
@@ -173,7 +189,13 @@ def test_census_and_records_match_the_all_pairs_oracle(fano, nikulin, data):
         ours = {row[:2] for row in rows}
         assert comparison.overlap_count == len(ours & joyce_pairs)
         assert comparison.new_count == len(ours - joyce_pairs)
-        if space == "emb":
+        if space in EMB:
+            # A clause has no library enumeration; the CLI renders its record
+            # order, from a census of all spaces or of the clause alone.
+            assert record_rows(classes) == rows
+            assert record_rows(_census(fano_cat, nikulin_cat, (space,))[space]) == rows
+            continue
+        if space == EMB:
             by_mode = Counter(row[2] for row in rows)
             diagonal = sum(1 for row in rows if row[3] == row[4])
             assert count_matched_pairs(classes) == PairCounts(
@@ -185,5 +207,5 @@ def test_census_and_records_match_the_all_pairs_oracle(fano, nikulin, data):
             (r.b2, r.b3, r.mode, r.blocks[0].label, r.blocks[1].label, r.certificate)
             for r in records
         ] == rows
-        if space == "emb":
+        if space == EMB:
             assert count_matched_pairs(records) == count_matched_pairs(classes)

@@ -176,6 +176,26 @@ def test_crosscheck_builds_one_pool_and_certifies_each_lattice_pair_once(capsys,
     assert enumerator_calls["G2Record"] == 0
 
 
+@pytest.mark.parametrize(
+    "mode, blocks, certificates",
+    [
+        # Each clause builds only the blocks of its kinds, and the quartic.
+        ("emb_a", [105, 0, 1], 20),
+        ("emb_b", [105, 74, 1], 135),
+        ("emb_c", [0, 74, 1], 225),
+        ("emb", [105, 74, 1], 380),
+    ],
+)
+def test_each_emb_mode_decides_only_its_clauses(
+    capsys, enumerator_calls, mode, blocks, certificates
+):
+    code, out, _ = run_cli(capsys, "betti-list", mode)
+    assert code == EXIT_OK and out
+    names = ("fano_block", "involution_block", "quartic_blowup_block")
+    assert [enumerator_calls[name] for name in names] == blocks
+    assert enumerator_calls["matching_condition"] == certificates
+
+
 MODES = ("emb", "emb_a", "emb_b", "emb_c", "mirror", "seq", "large_rank")
 
 
@@ -583,6 +603,23 @@ sys.exit(main(sys.argv[1:]))
             ("betti-list", "emb"),
             r"(?m)^g2sum: EMB_A pair lost condition A: fano\(\S+\) x fano\(\S+\)$",
         ),
+        # A single-clause mode decides only its clause's pairs.
+        (
+            PLANTED_COND_A_BUG,
+            ("betti-list", "emb_a"),
+            r"(?m)^g2sum: EMB_A pair lost condition A: fano\(\S+\) x fano\(\S+\)$",
+        ),
+        (
+            PLANTED_BLOCK_BUG,
+            ("betti-list", "emb_b"),
+            r"(?m)^g2sum: closed-form/glue disagreement in EMB_B for fano\(\S+\) x involution\(",
+        ),
+        (
+            PLANTED_BLOCK_BUG,
+            ("betti-list", "emb_c"),
+            r"(?m)^g2sum: closed-form/glue disagreement in EMB_C for "
+            r"involution\(\S+\) x involution\(",
+        ),
         (
             PLANTED_RANK_BUG,
             ("betti-list", "emb"),
@@ -599,6 +636,9 @@ sys.exit(main(sys.argv[1:]))
         "crosscheck",
         "block-bug betti-list mirror",
         "cond-a betti-list emb",
+        "cond-a betti-list emb_a",
+        "block-bug betti-list emb_b",
+        "block-bug betti-list emb_c",
         "rank-bug betti-list emb",
         "rank-bug crosscheck",
     ],

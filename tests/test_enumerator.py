@@ -122,17 +122,20 @@ def test_rank_condition_boundary_is_22(monkeypatch, fano, nikulin):
 
     # k = 9: P3 x (12,2,1) sums to 1 + 9 + 12 = 22 and P3 x P3 to 20.
     monkeypatch.setattr(enumerator_mod, "fano_block", raised(9))
-    classes = _census(*small, ("emb",))["emb"]
+    census = _census(*small, (EMB_A, EMB_B, EMB_C))
+    classes = census[EMB_A] + census[EMB_B] + census[EMB_C]
     excess = sorted(sum(rank_excess(g[0].block) for g in c.groups) for c in classes)
     assert excess == [20, 22]
     # k = 10: P3 x (12,2,1) sums to 23 and breaks the condition; P3 x P3 sums to 22.
     monkeypatch.setattr(enumerator_mod, "fano_block", raised(10))
-    labels = r"(fano\(P3\) x involution\(12,2,1\)|involution\(12,2,1\) x fano\(P3\))"
-    with pytest.raises(
-        IdentityError,
-        match=rf"^EMB_B pair {labels} breaks the rank condition: .* sums to 23 > 22$",
-    ):
-        _census(*small, ("emb",))
+    assert [c.mode for c in _census(*small, (EMB_A,))[EMB_A]] == [EMB_A]
+    for spaces in ((EMB_A, EMB_B, EMB_C), (EMB_B,)):
+        with pytest.raises(
+            IdentityError,
+            match=r"^EMB_B pair fano\(P3\) x involution\(12,2,1\) breaks the rank condition: "
+            r".* sums to 23 > 22$",
+        ):
+            _census(*small, spaces)
 
 
 def test_only_spaces_that_read_fano_blocks_build_them(monkeypatch, fano, nikulin):
@@ -144,12 +147,38 @@ def test_only_spaces_that_read_fano_blocks_build_them(monkeypatch, fano, nikulin
         return real(f)
 
     monkeypatch.setattr(enumerator_mod, "fano_block", counted)
-    _census(fano, nikulin, (MIRROR,))
-    assert sum(calls.values()) == 0
-    for space in ("emb", SEQ, LARGE_RANK):
+    for spaces in ((MIRROR,), (EMB_C,), (MIRROR, EMB_C)):
+        _census(fano, nikulin, spaces)
+        assert sum(calls.values()) == 0
+    for space in (EMB_A, EMB_B, SEQ, LARGE_RANK):
         calls.clear()
         _census(fano, nikulin, (MIRROR, space))
         assert calls == Counter(fano)
+
+
+def test_only_spaces_that_read_involution_blocks_build_them(monkeypatch, fano, nikulin):
+    calls = Counter()
+    real = enumerator_mod.involution_block
+
+    def counted(t):
+        calls[t] += 1
+        return real(t)
+
+    monkeypatch.setattr(enumerator_mod, "involution_block", counted)
+    _census(fano, nikulin, (EMB_A,))
+    assert sum(calls.values()) == 0
+    with_block = Counter(t for t in nikulin if t.key != (10, 10, 0))
+    for space in (EMB_B, EMB_C, MIRROR, SEQ, LARGE_RANK):
+        calls.clear()
+        _census(fano, nikulin, (EMB_A, space))
+        assert calls == with_block
+
+
+def test_an_unknown_space_is_refused(fano, nikulin):
+    with pytest.raises(ValueError, match=r"^unknown pair-space 'bogus'$"):
+        _census(fano, nikulin, ("bogus",))
+    with pytest.raises(ValueError, match=r"^unknown pair-space 'emb'$"):
+        _census(fano, nikulin, (MIRROR, "emb"))
 
 
 def test_record_api(nikulin, emb_records):

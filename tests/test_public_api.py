@@ -43,6 +43,7 @@ REMOVED = (
     "_SPACES",
     "_EMB_CLAUSES",
     "_of_clause",
+    "_CLAUSES",
 )
 
 # Fields and properties deleted from the records that still exist.
