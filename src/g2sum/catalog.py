@@ -1,6 +1,6 @@
 """Catalog ingestion and validation.
 
-Three CSV catalogs drive the enumerations:
+Three comma-separated catalogs drive the enumerations:
 
 * ``nikulin.csv`` — the classified invariant-lattice triples (r, a, delta)
   of non-symplectic involutions, one row each, with a model-lattice
@@ -13,13 +13,30 @@ Three CSV catalogs drive the enumerations:
   earlier construction; pragma ``#complete`` asserts the full 252-row set
   (239 of which satisfy b2+b3 = 3 mod 4).
 
-Rows are read by one reader, which checks the field count against the
-header and parses every column except ``id`` and ``source`` as an
-integer; each loader then checks its own row rules.  A line ends only at
-a line ending, and a line or an integer cell is padded only with ASCII
-space and tab, so U+2028 does not end a row and U+00A0 is not padding.
-Validation is strict: any malformed row rejects the whole file with a
-``path:line`` diagnostic.  Loaded catalogs are immutable.
+Rows are read by one reader, which follows the line grammar below and
+nothing else; each loader then checks its own row rules.  Validation is
+strict: any malformed row rejects the whole file with a ``path:line``
+diagnostic.  Loaded catalogs are immutable.
+
+The line grammar:
+
+* A line ends only at a line ending (``read_text`` turns ``\r\n`` and
+  ``\r`` into ``\n``), so U+2028, U+0085 and form feed stay inside a
+  line.  Each line is stripped of ASCII space and tab, and blank lines are
+  skipped.
+* A line starting with ``#`` is a comment.  It is a pragma only when the
+  text after that ``#``, stripped of ASCII space and tab, is exactly
+  ``complete`` or ``complete-rank-1``.
+* The first other line is the header; every later one is a data line.
+  Both are cells separated by ``,``, with no quoting: a line that holds
+  ``"`` is rejected.  The header's cells must be the loader's column
+  names, and a data line needs one cell per column.
+* Each cell is stripped of ASCII space and tab only.  An integer cell is
+  ``[+-]?[0-9]+``; an ``id`` or ``source`` cell is any other text.
+
+ASCII space and tab are the only padding: U+00A0 in a cell is text, and so
+is U+FEFF, so a file that starts with a UTF-8 byte-order mark fails its
+header check.
 
 The loaders own catalog I/O.  A file that cannot be read (missing, a
 directory, a failed read) raises ``OSError`` whose message names the
@@ -30,7 +47,6 @@ given and the default file is absent.
 
 from __future__ import annotations
 
-import csv
 import os
 import re
 from pathlib import Path
@@ -164,17 +180,15 @@ def default_data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-# What a catalog line and an integer cell may be padded with: ASCII space and tab.
+# What a catalog line and a cell are padded with: ASCII space and tab.
 _BLANK = " \t"
 
 
 def _read_rows(
     path: Path, header: tuple[str, ...]
 ) -> tuple[set[str], Iterator[tuple[int, tuple]]]:
-    """Parse a catalog file into (pragmas, rows).
+    """Parse a catalog file into (pragmas, rows) by the line grammar above.
 
-    Lines starting with ``#`` are comments; those spelling out a known
-    pragma are collected.  The first data line must be the exact header.
     ``rows`` yields ``(lineno, values)`` per data line, typed by
     ``_typed_row`` as it is drawn, so the first fault in file order is the
     one reported.
@@ -190,15 +204,13 @@ def _read_rows(
         if exc.filename is None:
             exc.filename = str(path)
         raise
-    # ``read_text`` has turned every line ending into "\n", the only one a
-    # catalog has: ``splitlines`` would also break a line at U+2028, U+0085,
-    # form feed and the like.
+    # Not ``splitlines``, which also ends a line at U+2028, U+0085 and form feed.
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip(_BLANK)
         if not line:
             continue
         if line.startswith("#"):
-            pragma = line.lstrip("#").strip()
+            pragma = line[1:].strip(_BLANK)
             if pragma in ("complete", "complete-rank-1"):
                 pragmas.add(pragma)
             continue
@@ -206,7 +218,8 @@ def _read_rows(
     if not lines:
         raise CatalogError(f"{path}: missing header line")
     lineno, line = lines[0]
-    if [f.strip() for f in next(csv.reader([line]))] != list(header):
+    # A quoted header cell is never a column name, so no quote gets past this.
+    if [cell.strip(_BLANK) for cell in line.split(",")] != list(header):
         raise CatalogError(
             f"{path}:{lineno}: expected header {','.join(header)!r}, got {line!r}"
         )
@@ -219,20 +232,22 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _typed_row(path: Path, lineno: int, line: str, header: tuple[str, ...]) -> tuple:
-    """One value per header column: ``id`` and ``source`` as stripped text,
-    every other column as an integer."""
-    fields = next(csv.reader([line]))
-    if len(fields) != len(header):
-        raise CatalogError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+    """One value per header column: ``id`` and ``source`` as text, every
+    other column as an integer."""
+    if '"' in line:
+        raise CatalogError(f"{path}:{lineno}: cells are not quoted, so '\"' may not appear")
+    cells = line.split(",")
+    if len(cells) != len(header):
+        raise CatalogError(f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}")
     values: list[int | str] = []
-    for name, value in zip(header, fields):
+    for name, cell in zip(header, cells):
+        text = cell.strip(_BLANK)
         if name in ("id", "source"):
-            values.append(value.strip())
-            continue
-        text = value.strip(_BLANK)
-        if not _INTEGER.fullmatch(text):
-            raise CatalogError(f"{path}:{lineno}: field {name!r} must be an integer, got {value!r}")
-        values.append(int(text))
+            values.append(text)
+        elif _INTEGER.fullmatch(text):
+            values.append(int(text))
+        else:
+            raise CatalogError(f"{path}:{lineno}: field {name!r} must be an integer, got {cell!r}")
     return tuple(values)
 
 
@@ -276,7 +291,8 @@ def load_nikulin(path: str | Path | None = None) -> NikulinCatalog:
 def load_fano(path: str | Path | None = None) -> FanoCatalog:
     """Load and strictly validate the Fano family catalog.
 
-    Row rules: nonempty unique id, b2 >= 1, b3 even and >= 0, -K^3 even
+    Row rules: nonempty unique id, 1 <= b2 <= 10 (every smooth Fano
+    threefold has Picard rank at most 10), b3 even and >= 0, -K^3 even
     and positive.  Under ``#complete-rank-1`` exactly 17 rows must have
     b2 = 1.
     """
@@ -289,6 +305,8 @@ def load_fano(path: str | Path | None = None) -> FanoCatalog:
             raise CatalogError(f"{p}:{lineno}: family id must be nonempty")
         if b2 < 1:
             raise CatalogError(f"{p}:{lineno}: b2 must be >= 1, got {b2}")
+        if b2 > 10:
+            raise CatalogError(f"{p}:{lineno}: b2 must be at most 10, got {b2}")
         if b3 < 0 or b3 % 2 != 0:
             raise CatalogError(f"{p}:{lineno}: b3 must be even and >= 0, got {b3}")
         if minus_k3 <= 0 or minus_k3 % 2 != 0:

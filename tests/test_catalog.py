@@ -1,9 +1,12 @@
 """Catalog ingestion, validation diagnostics, and derived queries."""
 
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from g2sum.catalog import (
     EMPTY,
@@ -108,6 +111,9 @@ def test_data_dir_env_override(tmp_path, monkeypatch):
         ("2, \u00a00,0,x", "field 'a' must be an integer, got ' \\xa00'"),
         # U+2028 does not end a row; splitlines() would make two
         ("2,0,0,x\u20282,2,0,y", "expected 4 fields, got 7"),
+        # no quoting: csv would read "2" as 2 and "U, <2>" as one cell
+        ('"2",0,0,x', "cells are not quoted, so '\"' may not appear"),
+        ('2,0,0,"U, <2>"', "cells are not quoted, so '\"' may not appear"),
     ],
 )
 def test_nikulin_row_rejects(tmp_path, row, message):
@@ -147,10 +153,61 @@ def test_nikulin_header_check(tmp_path):
         load_nikulin(p)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        # only ASCII space and tab pad a header cell; str.strip() took U+00A0
+        "r,a,delta,source\u00a0",
+        # a byte-order mark is text, not padding
+        "\ufeffr,a,delta,source",
+        '"r",a,delta,source',
+    ],
+)
+def test_header_must_spell_the_columns(tmp_path, header):
+    p = write(tmp_path, header + "\n2,0,0,x\n")
+    with pytest.raises(CatalogError) as exc:
+        load_nikulin(p)
+    assert str(exc.value) == f"{p}:1: expected header 'r,a,delta,source', got {header!r}"
+
+
 def test_completeness_pragma_enforced(tmp_path):
     p = write(tmp_path, "#complete\n" + NIK_HEADER + "2,0,0,x\n")
     with pytest.raises(CatalogError, match="has 1 rows, expected 75"):
         load_nikulin(p)
+
+
+@pytest.mark.parametrize(
+    "comment,complete",
+    [
+        (" # \tcomplete\t", True),
+        # a pragma is spelled exactly: one "#", then ASCII padding only
+        ("#\u00a0complete", False),
+        ("##complete", False),
+        ("#complete-rank-1", False),
+    ],
+)
+def test_only_an_exact_pragma_declares_completeness(tmp_path, comment, complete):
+    p = write(tmp_path, comment + "\n" + NIK_HEADER + "2,0,0,x\n")
+    if complete:
+        with pytest.raises(CatalogError, match="has 1 rows, expected 75"):
+            load_nikulin(p)
+    else:
+        cat = load_nikulin(p)
+        assert len(cat) == 1 and not cat.complete
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["\u00a0x", "x\u2028", "\ufeffx", "x" * 140_000],
+    ids=["nbsp", "line-separator", "bom", "140000-chars"],
+)
+def test_text_cells_lose_only_ascii_padding(tmp_path, source):
+    # str.strip() took the Unicode whitespace away, and csv refused a cell
+    # over 131 072 characters with its own error.
+    p = write(tmp_path, NIK_HEADER + f"2,0,0, \t{source} \n")
+    assert [t.source for t in load_nikulin(p)] == [source]
+    p = write(tmp_path, FANO_HEADER + f"\t{source} ,1,0,64,{source}\n")
+    assert [(f.id, f.source) for f in load_fano(p)] == [(source, source)]
 
 
 def test_comments_and_blank_lines_skipped(tmp_path):
@@ -174,6 +231,8 @@ def test_missing_file_is_catalog_error(tmp_path):
         ("A,1,3,64,x", "b3 must be even"),
         ("A,1,0,0,x", "-K\\^3 must be even and positive"),
         ("A,0,0,64,x", "b2 must be >= 1"),
+        # every smooth Fano threefold has Picard rank at most 10
+        ("11.1,11,0,2,x", "b2 must be at most 10, got 11"),
         (",1,0,64,x", "family id must be nonempty"),
         ("A,1_0,0,64,x", "field 'b2' must be an integer, got '1_0'"),
         ("A,1,0,\uff16\uff14,x", "field 'minus_k3' must be an integer, got '\uff16\uff14'"),
@@ -224,6 +283,129 @@ def test_joyce_loads_when_given(tmp_path):
     cat = load_joyce(p)
     assert cat.pairs == ((1, 2), (9, 55))
     assert not cat.complete
+
+
+# --- the line grammar against a regex oracle ---------------------------------
+
+# The ``g2sum.catalog`` docstring's grammar as whole-line regexes over a line
+# as written: ``PAD`` is the only padding, around a line and around a cell.
+PAD = "[ \t]*"
+COMMENT = re.compile(PAD + "#.*")
+PRAGMA = re.compile(PAD + "#" + PAD + "(complete|complete-rank-1)" + PAD)
+INTEGER_CELL = PAD + "([+-]?[0-9]+)" + PAD
+JOYCE_ROW = re.compile(INTEGER_CELL + "," + INTEGER_CELL)
+TEXT_CELL = PAD + '([^,"]*?)' + PAD
+FANO_MIDDLE = ",1,0,64,"
+FANO_ROW = re.compile(TEXT_CELL + FANO_MIDDLE + TEXT_CELL)
+
+# The alphabet: structure, ASCII and Unicode padding, and digits ``int``
+# reads but a catalog does not.  No "\r" or "\n": ``read_text`` makes those
+# line endings.
+PADS = " \t\u00a0\u2028\u0085\ufeff"
+DIGITS = "0123456789+-_\uff10\uff17\u0660\u0667"
+ALPHABET = DIGITS + PADS + ',"#'
+
+padding = st.text(PADS, max_size=2)
+ascii_padding = st.text(" \t", max_size=2)
+integer_cell = st.tuples(ascii_padding, st.integers(-1, 99).map(str), ascii_padding)
+row = st.tuples(integer_cell.map("".join), integer_cell.map("".join)).map(",".join)
+comment = st.tuples(
+    ascii_padding,
+    st.sampled_from(["#", "##"]),
+    padding,
+    st.sampled_from(["complete", "complete-rank-1"]),
+    ascii_padding,
+).map("".join)
+noisy_cell = st.tuples(padding, st.text(DIGITS, max_size=3), padding).map("".join)
+noise = st.one_of(
+    st.lists(noisy_cell, min_size=1, max_size=3).map(",".join), st.text(ALPHABET, max_size=10)
+)
+
+
+def oracle(data_lines, read_row):
+    """``(values, pragmas)`` read from the lines after the header, or the
+    number of the first line that ``read_row`` refuses (returns None for)."""
+    values, pragmas = [], set()
+    for lineno, line in enumerate(data_lines, start=2):
+        if m := PRAGMA.fullmatch(line):
+            pragmas.add(m[1])
+        elif COMMENT.fullmatch(line) or re.fullmatch(PAD, line):
+            continue
+        else:
+            value = read_row(line, values)
+            if value is None:
+                return lineno
+            values.append(value)
+    return values, pragmas
+
+
+def joyce_row(line, _):
+    m = JOYCE_ROW.fullmatch(line)
+    if m is None or int(m[1]) < 0 or int(m[2]) < 0:
+        return None
+    return (int(m[1]), int(m[2]))
+
+
+def fano_row(line, earlier):
+    m = FANO_ROW.fullmatch(line)
+    if m is None or not m[1] or m[1] in [fid for fid, _ in earlier]:
+        return None
+    return (m[1], m[2])
+
+
+def load_or_fault(load, path):
+    """The catalog ``load`` reads, or the line its fault names (0 for none)."""
+    try:
+        return load(path)
+    except CatalogError as exc:
+        m = re.match(re.escape(str(path)) + r":(\d+)?", str(exc))
+        assert m is not None, exc
+        return int(m[1] or 0)
+
+
+grammar_settings = settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@grammar_settings
+@given(
+    st.lists(st.one_of(row, comment), max_size=4),
+    st.lists(noise, max_size=1),
+    st.integers(0, 4),
+)
+def test_integer_cells_follow_the_grammar(tmp_path, data_lines, noisy, at):
+    # At most one line drawn from the whole alphabet, so that most files
+    # reach the pragma check after their rows.
+    data_lines[at:at] = noisy
+    p = write(tmp_path, "\n".join(["b2,b3", *data_lines]) + "\n")
+    expected = oracle(data_lines, joyce_row)
+    if not isinstance(expected, int) and "complete" in expected[1]:
+        expected = 0  # fewer than the 252 rows the pragma demands
+    got = load_or_fault(load_joyce, p)
+    if isinstance(expected, int):
+        assert got == expected
+    else:
+        assert (got.pairs, got.complete) == (tuple(expected[0]), False)
+
+
+@grammar_settings
+@given(
+    st.lists(
+        st.tuples(st.text(ALPHABET, max_size=6), st.text(ALPHABET, max_size=6)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_text_cells_follow_the_grammar(tmp_path, cells):
+    data_lines = [fid + FANO_MIDDLE + source for fid, source in cells]
+    p = write(tmp_path, "\n".join([FANO_HEADER.strip(), *data_lines]) + "\n")
+    expected = oracle(data_lines, fano_row)
+    got = load_or_fault(load_fano, p)
+    if isinstance(expected, int):
+        assert got == expected
+    else:
+        assert [(f.id, f.source) for f in got] == expected[0]
 
 
 # --- fixed locus and mirrors --------------------------------------------------

@@ -247,6 +247,28 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     assert f"{bad}:2: r - a must be even" in err
 
 
+@pytest.mark.parametrize(
+    "argv,text,message",
+    [
+        (
+            ["crosscheck", "--fano"],
+            "id,b2,b3,minus_k3,source\n11.1,11,0,2,x\n",
+            ":2: b2 must be at most 10, got 11",
+        ),
+        (["validate", "--nikulin"], "r,a,delta,source\u00a0\n2,0,0,x\n", ":1: expected header"),
+        (["validate", "--nikulin"], 'r,a,delta,source\n"2",0,0,x\n', ":2: cells are not quoted"),
+    ],
+    ids=["fano-rank-11", "nbsp-header", "quoted-cell"],
+)
+def test_bad_catalog_line_exits_1(tmp_path, capsys, argv, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, str(bad))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith(f"g2sum: {bad}{message}")
+
+
 def test_non_utf8_catalog_is_a_validation_failure(tmp_path, capsys):
     bad = tmp_path / "nik.csv"
     bad.write_bytes(b"r,a,delta,source\n2,0,0,U\xff\n")
@@ -498,6 +520,12 @@ def test_cli_start_imports_no_json():
     # Only --format json needs the json package; it is imported there.
     added = modules_the_cli_import_adds()
     assert [m for m in added if m == "json" or m.startswith("json.")] == []
+
+
+def test_cli_start_imports_no_csv():
+    # The catalog reader splits its own cells and --format csv writes its
+    # own bytes, so nothing needs the csv module.
+    assert {"csv", "_csv"} & modules_the_cli_import_adds() == set()
 
 
 # A closed-form/gluing mismatch planted in the gluing formula: b3 shifted by 4.
