@@ -4,8 +4,9 @@ Three comma-separated catalogs drive the enumerations:
 
 * ``nikulin.csv`` — the classified invariant-lattice triples (r, a, delta)
   of non-symplectic involutions, one row each, with a model-lattice
-  expression in the ``source`` column.  Pragma ``#complete`` asserts the
-  full 75-row classification is present.
+  expression in the ``source`` column.  Each row must pass Nikulin's
+  existence theorem; pragma ``#complete`` asserts all 75 classes are
+  present.
 * ``fano.csv`` — deformation families of Fano threefolds with the three
   invariants (b2, b3, -K^3).  Pragma ``#complete-rank-1`` asserts all 17
   families with b2 = 1 are present.
@@ -251,13 +252,33 @@ def _typed_row(path: Path, lineno: int, line: str, header: tuple[str, ...]) -> t
     return tuple(values)
 
 
+def _two_elementary_exists(t_plus: int, t_minus: int, a: int, delta: int) -> bool:
+    """Whether an even 2-elementary lattice of signature (t_plus, t_minus)
+    with invariants a and delta exists (Nikulin 1979, Thm 3.6.2)."""
+    r = t_plus + t_minus
+    s = (t_plus - t_minus) % 8  # the signature's difference, mod 8
+    return (
+        a <= r
+        and (r - a) % 2 == 0
+        and (delta == 1 or s % 4 == 0)
+        and (a != 0 or (delta == 0 and s == 0))
+        and (a != 1 or s in (1, 7))
+        and (a != 2 or s != 4 or delta == 0)
+        and (delta == 1 or a != r or s == 0)
+    )
+
+
 def load_nikulin(path: str | Path | None = None) -> NikulinCatalog:
     """Load and strictly validate the invariant-lattice triple catalog.
 
     Row rules: 1 <= r <= 20, 0 <= a <= 11, r - a >= 0 and even, r + a <= 22
     (the fixed curve's genus (22 - r - a)/2 is nonnegative), delta in
-    {0, 1}; duplicate (r, a, delta) rejected.  Under the ``#complete``
-    pragma the row count must be exactly 75.
+    {0, 1}; then Nikulin's existence theorem (Thm 3.6.2) for the invariant
+    lattice, of signature (1, r - 1), and for its complement in the K3
+    lattice, of signature (2, 20 - r), each with the row's a and delta;
+    duplicate (r, a, delta) rejected.  So every row is one of Nikulin's 75
+    classes, and under the ``#complete`` pragma the row count must be
+    exactly 75: all of them.
     """
     p = Path(path) if path is not None else default_data_dir() / NIKULIN_FILENAME
     pragmas, rows = _read_rows(p, ("r", "a", "delta", "source"))
@@ -276,6 +297,13 @@ def load_nikulin(path: str | Path | None = None) -> NikulinCatalog:
             raise CatalogError(f"{p}:{lineno}: r + a must be at most 22, got r={r}, a={a}")
         if delta not in (0, 1):
             raise CatalogError(f"{p}:{lineno}: delta must be 0 or 1, got {delta}")
+        for signature in ((1, r - 1), (2, 20 - r)):
+            if not _two_elementary_exists(*signature, a, delta):
+                raise CatalogError(
+                    f"{p}:{lineno}: no even 2-elementary lattice of signature {signature} "
+                    f"has a={a}, delta={delta} (Nikulin, Thm 3.6.2), so ({r},{a},{delta}) "
+                    "is no involution class"
+                )
         if (r, a, delta) in seen:
             raise CatalogError(f"{p}:{lineno}: duplicate triple ({r},{a},{delta})")
         seen.add((r, a, delta))

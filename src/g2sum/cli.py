@@ -62,7 +62,6 @@ from .enumerator import (
     MIRROR,
     SEQ,
     IdentityError,
-    PairClass,
     _census,
     _record_order,
     compare_joyce,  # patched by spans.install_cli
@@ -266,14 +265,6 @@ def _write_rows(rows: Sequence[tuple], fields: Sequence[str], fmt: str) -> None:
 _RECORD_FIELDS = tuple("b2 b3 mode n condition block1 block2 simply_connected flags".split())
 
 
-def _mode_classes(
-    mode: str, nikulin: NikulinCatalog, fano: FanoCatalog
-) -> list[PairClass]:
-    spaces = _MODE_SPACES[mode]
-    census = _census(fano, nikulin, spaces)
-    return [c for space in spaces for c in census[space]]
-
-
 def _cmd_validate(
     args: argparse.Namespace,
     nikulin: NikulinCatalog,
@@ -290,7 +281,7 @@ def _cmd_enumerate(
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
 ) -> int:
-    classes = _mode_classes(args.mode, nikulin, fano)
+    classes = _census(fano, nikulin, _MODE_SPACES[args.mode])
     order, entries = _record_order(classes)
     # Every pair glues with n = 0 from simply connected blocks and keeps the
     # rank condition, so the n, simply_connected and flags cells are constant;
@@ -315,7 +306,7 @@ def _cmd_betti_list(
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
 ) -> int:
-    classes = _mode_classes(args.mode, nikulin, fano)
+    classes = _census(fano, nikulin, _MODE_SPACES[args.mode])
     _write_rows(distinct_betti(classes), ("b2", "b3"), args.format)
     return EXIT_OK
 
@@ -327,7 +318,7 @@ def _cmd_table1(
     joyce: JoyceCatalog | None,
 ) -> int:
     b3_values: dict[int, list[int]] = {}
-    for b2, b3 in distinct_betti(_mode_classes("emb", nikulin, fano)):
+    for b2, b3 in distinct_betti(_census(fano, nikulin, _MODE_SPACES["emb"])):
         b3_values.setdefault(b2, []).append(b3)
     rows = []
     for b2 in range(2, 19, 2):
@@ -360,9 +351,8 @@ def _cmd_crosscheck(
     rows = [("euler_crosscheck", checked, "FAIL" if failures else "OK")]
 
     emb_spaces = _MODE_SPACES["emb"]
-    census = _census(fano, nikulin, (*emb_spaces, MIRROR, SEQ, LARGE_RANK))
-    emb = [c for space in emb_spaces for c in census[space]]
-    every = [c for classes in census.values() for c in classes]
+    every = _census(fano, nikulin, (*emb_spaces, MIRROR, SEQ, LARGE_RANK))
+    emb = [c for c in every if c.mode in emb_spaces]
     rows.append(("closed_vs_glue", sum(c.weight for c in every), "OK"))
 
     counts = count_matched_pairs(emb)

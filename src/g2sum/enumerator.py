@@ -9,8 +9,9 @@ only in zero, gives a closed 7-manifold with
 Every enumeration here is a *pair-space*: a set of block pairs drawn from
 one pool, built once per census in catalog order (each Fano family, each
 involution class but the fixed-point-free (10,10,0), then the quartic
-blow-up block).  A block's *size* is ``rank + l_bound``; a pair of
-total size below 20 passes the numeric embedding criterion.
+blow-up block).  A block's *size* is ``rank + l_bound``; a pair passes
+the numeric embedding criterion when its total size is below the rank of
+the gluing ambient 2*E8(-1) + 2*U, which is 20 (``embedding._AMBIENT_RANK``).
 
 * ``EMB_A``       every unordered pair of Fano blocks of size below 20;
 * ``EMB_B``       every Fano block against every involution block, size
@@ -34,17 +35,20 @@ It builds Fano blocks only for a space that reads them (all but
 space, and sorts the pool's outcome groups by size, stably; the quartic
 stays aside.  Each space reads only the groups: ``EMB_A`` and ``EMB_C``
 pair a group of their kind with the slice of that kind's groups from
-itself to the first of size 20 minus its own, ``EMB_B`` a Fano group
-with the involution groups below that size, ``SEQ`` the quartic with the
-groups below size 18, and ``MIRROR`` and ``LARGE_RANK`` name their
+itself to the first whose size is the ambient's rank minus its own,
+``EMB_B`` a Fano group with the involution groups below that size,
+``SEQ`` the quartic (size 2) with the groups below the ambient's rank
+minus 2, and ``MIRROR`` and ``LARGE_RANK`` name their
 one-block involution groups by triple key, so no pair is tested and
 rejected.  Each admitted pair of groups, a group possibly with itself,
 is decided once, from their first members; the certificate, which reads
 only the lattice classes, is decided once per unordered pair of those
-over all the spaces.  Each decided ``PairClass`` carries its space as its
-mode, and its *weight*, the number of block pairs it stands for: m * m'
-for two groups of m and m' blocks, m (m + 1) / 2 for a group of m paired
-with itself, m of them *diagonal* (a block with itself).
+over all the spaces.  The census returns one list of the decided
+``PairClass``es, each space's in the order the spaces are given; a
+class's space is its mode.  A class carries its *weight*, the number of
+block pairs it stands for: m * m' for two groups of m and m' blocks,
+m (m + 1) / 2 for a group of m paired with itself, m of them *diagonal*
+(a block with itself).
 
 Two readers sit on the census.  ``_record_order`` lists each pair of the
 classes as (class index, entry, entry) in record order, oriented per
@@ -93,7 +97,7 @@ from .catalog import (
     fixed_locus,
     mirror_pairs,
 )
-from .embedding import LARGE_RANK_ANCHORS, MatchCertificate, matching_condition
+from .embedding import _AMBIENT_RANK, LARGE_RANK_ANCHORS, MatchCertificate, matching_condition
 from .lattice_core import LatticeError
 
 EMB_A = "EMB_A"
@@ -122,10 +126,6 @@ class G2Record(NamedTuple):
     mode: str
     certificate: MatchCertificate
     blocks: tuple[BuildingBlock, BuildingBlock]
-
-    @property
-    def betti(self) -> tuple[int, int]:
-        return (self.b2, self.b3)
 
     @property
     def weight(self) -> int:
@@ -191,12 +191,13 @@ def _group_size(group: tuple[_Entry, ...]) -> int:
 
 def _census(
     fano: Iterable[FanoFamily], nikulin: NikulinCatalog, spaces: Sequence[str]
-) -> dict[str, list[PairClass]]:
-    """The decided pair classes of each of ``spaces``, all drawn from one pool.
+) -> list[PairClass]:
+    """The decided pair classes of ``spaces``, all drawn from one pool, in
+    one list: each space's classes, in the order the spaces are given.
 
-    The spaces are decided in the order given, so an identity failure is
-    reported for the first space that has one.  An unknown space raises
-    ``ValueError``.
+    A class's space is its mode.  The spaces are decided in that order, so
+    an identity failure is reported for the first space that has one.  An
+    unknown space raises ``ValueError``.
     """
     wanted = set(spaces)
     made = [] if wanted <= {MIRROR, EMB_C} else [(fano_block(f), (0, f.g + 2)) for f in fano]
@@ -230,8 +231,9 @@ def _census(
     by_key = {g[0].block.triple.key: g for g in involutions}
 
     def below(pool: list, size: int, start: int = 0) -> list:
-        # The groups of ``pool`` from ``start`` on whose size is below 20 - ``size``.
-        return pool[start : bisect_left(pool, 20 - size, start, key=_group_size)]
+        # The groups of ``pool`` from ``start`` on whose size is below the
+        # ambient's rank minus ``size``.
+        return pool[start : bisect_left(pool, _AMBIENT_RANK - size, start, key=_group_size)]
 
     def group_pairs(space: str) -> list[tuple[tuple[_Entry, ...], tuple[_Entry, ...]]]:
         # A group's members share its size, rank and triple, so the numeric
@@ -258,9 +260,8 @@ def _census(
     # their order, so it is decided, and checked, once per unordered pair of
     # them across all the spaces.
     certificates: dict[tuple[int, int], MatchCertificate] = {}
-    census: dict[str, list[PairClass]] = {}
+    classes: list[PairClass] = []
     for mode in spaces:
-        classes = census[mode] = []
         for first, second in group_pairs(mode):
             p, q = first[0], second[0]
             block1, block2 = p.block, q.block
@@ -298,7 +299,7 @@ def _census(
             else:
                 weight, diagonal = m * len(second), 0
             classes.append(PairClass(b2, b3, mode, certificate, weight, diagonal, (first, second)))
-    return census
+    return classes
 
 
 def _record_order(
@@ -344,8 +345,7 @@ def _enumerate(
     spaces: Sequence[str], fano: Iterable[FanoFamily], nikulin: NikulinCatalog
 ) -> list[G2Record]:
     """The records of the pair-spaces ``spaces`` together, in ``_record_order``."""
-    census = _census(fano, nikulin, spaces)
-    classes = [c for space in spaces for c in census[space]]
+    classes = _census(fano, nikulin, spaces)
     heads = [c[:4] for c in classes]
     return [
         G2Record(*heads[i], (p.block, q.block))

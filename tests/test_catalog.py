@@ -16,6 +16,7 @@ from g2sum.catalog import (
     FanoFamily,
     FixedLocus,
     NikulinTriple,
+    _two_elementary_exists,
     default_data_dir,
     fixed_locus,
     load_fano,
@@ -53,6 +54,20 @@ def test_packaged_nikulin_counts_by_rank(nikulin):
     by_r = [sum(1 for t in nikulin.triples if t.r == r) for r in range(1, 21)]
     assert by_r == [1, 3, 2, 2, 2, 4, 3, 4, 5, 11, 6, 5, 4, 6, 3, 3, 3, 5, 2, 1]
     assert sum(by_r) == 75
+
+
+def test_existence_theorem_derives_the_packaged_classes(nikulin):
+    # Nikulin's Thm 3.6.2 for the invariant lattice, signature (1, r - 1), and
+    # its K3 complement, signature (2, 20 - r), over every shape a row may have.
+    derived = {
+        (r, a, delta)
+        for r in range(1, 21)
+        for a in range(12)
+        for delta in (0, 1)
+        if _two_elementary_exists(1, r - 1, a, delta)
+        and _two_elementary_exists(2, 20 - r, a, delta)
+    }
+    assert derived == {t.key for t in nikulin}
 
 
 def test_packaged_fano_catalog(fano, fano_rank_one):

@@ -1,10 +1,15 @@
-"""The census against a naive all-pairs oracle, over sub-catalogs of the packaged rows.
+"""The census against a naive all-pairs oracle, and under changes of its catalogs.
 
 The oracle builds every pair of each pair-space from the catalog rows, one
 block per row and one certificate per pair, with the gluing formula
 written out; the census decides one class of pairs at a time and weighs
 it.  Both must tell the same story: the distinct pairs, the clause
 totals, the diagonal and mod-4 counts, and the records in order.
+
+The metamorphic tests change the catalogs and predict the census's answer
+from its answer on the packaged rows: permuted rows, dropped rows, a Fano
+family copied under a fresh id, and synthetic Fano rows at the numeric
+spaces' admission edge.
 """
 
 import re
@@ -25,12 +30,13 @@ from g2sum.catalog import (
     EMPTY,
     CatalogError,
     FanoCatalog,
+    FanoFamily,
     JoyceCatalog,
     NikulinCatalog,
     fixed_locus,
     mirror_pairs,
 )
-from g2sum.embedding import matching_condition
+from g2sum.embedding import _AMBIENT_RANK, matching_condition
 from g2sum.enumerator import (
     EMB_A,
     EMB_B,
@@ -166,15 +172,17 @@ def test_census_and_records_match_the_all_pairs_oracle(fano, nikulin, data):
             enumerate_large_rank(fano_cat, nikulin_cat)
         spaces = spaces[:-1]
     census = _census(fano_cat, nikulin_cat, spaces)
-    assert list(census) == list(spaces)
+    # One list: each space's classes, in the order the spaces are given.
+    modes = [c.mode for c in census]
+    assert modes == sorted(modes, key=spaces.index)
 
     joyce_pairs = {row[:2] for rows in expected.values() for row in rows[::3]} | {(1, 1)}
     joyce = JoyceCatalog(tuple(sorted(joyce_pairs)), complete=False)
     # The emb mode is the three clause spaces together.
-    views = {space: (expected[space], census[space]) for space in spaces}
+    views = {space: (expected[space], [c for c in census if c.mode == space]) for space in spaces}
     views[EMB] = (
         sorted((row for clause in EMB for row in expected[clause]), key=lambda row: row[:5]),
-        [c for clause in EMB for c in census[clause]],
+        [c for c in census if c.mode in EMB],
     )
     for space, (rows, classes) in views.items():
         assert distinct_betti(classes) == tuple(sorted({row[:2] for row in rows}))
@@ -193,7 +201,7 @@ def test_census_and_records_match_the_all_pairs_oracle(fano, nikulin, data):
             # A clause has no library enumeration; the CLI renders its record
             # order, from a census of all spaces or of the clause alone.
             assert record_rows(classes) == rows
-            assert record_rows(_census(fano_cat, nikulin_cat, (space,))[space]) == rows
+            assert record_rows(_census(fano_cat, nikulin_cat, (space,))) == rows
             continue
         if space == EMB:
             by_mode = Counter(row[2] for row in rows)
@@ -209,3 +217,149 @@ def test_census_and_records_match_the_all_pairs_oracle(fano, nikulin, data):
         ] == rows
         if space == EMB:
             assert count_matched_pairs(records) == count_matched_pairs(classes)
+
+
+ALL = (*EMB, MIRROR, SEQ, LARGE_RANK)
+
+
+@pytest.fixture(scope="module")
+def packaged_classes(fano, nikulin):
+    return _census(fano, nikulin, ALL)
+
+
+def class_rows(classes):
+    """What a class reports, as a multiset: (b2, b3, mode, condition, weight, diagonal)."""
+    return Counter(
+        (c.b2, c.b3, c.mode, c.certificate.condition, c.weight, c.diagonal) for c in classes
+    )
+
+
+def unordered_pairs(classes):
+    """Each pair of ``classes`` as (b2, b3, mode, label, label), labels sorted, as a multiset."""
+    return Counter(
+        (*classes[i][:3], *sorted((p.block.label, q.block.label)))
+        for i, p, q in _record_order(classes)[0]
+    )
+
+
+METAMORPHIC = settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@METAMORPHIC
+@given(data=st.data())
+def test_permuted_rows_keep_every_class_and_every_unordered_pair(
+    fano, nikulin, packaged_classes, data
+):
+    families = tuple(data.draw(st.permutations(fano.families)))
+    triples = tuple(data.draw(st.permutations(nikulin.triples)))
+    shuffled = _census(FanoCatalog(families, False), NikulinCatalog(triples, False), ALL)
+    assert class_rows(shuffled) == class_rows(packaged_classes)
+    assert distinct_betti(shuffled) == distinct_betti(packaged_classes)
+    assert unordered_pairs(shuffled) == unordered_pairs(packaged_classes)
+
+
+def test_record_order_follows_catalog_row_order(fano, nikulin, packaged_classes):
+    # Decided: a clause pair puts its earlier pool block first, so the order
+    # and orientation of the records depend on the catalogs' row order, and
+    # only their multiset of unordered pairs on the catalogs' sets of rows.
+    emb = [c for c in packaged_classes if c.mode in EMB]
+    reversed_fano = FanoCatalog(fano.families[::-1], False)
+    reversed_emb = _census(reversed_fano, nikulin, EMB)
+    assert record_rows(reversed_emb) != record_rows(emb)
+    assert unordered_pairs(reversed_emb) == unordered_pairs(emb)
+
+
+@METAMORPHIC
+@given(data=st.data())
+def test_dropping_rows_only_drops_pairs(fano, nikulin, packaged_classes, data):
+    fano_cat, nikulin_cat = data.draw(sub_catalogs(fano, nikulin))
+    spaces = ALL
+    if any(nikulin_cat.find(*key) is None for key in LARGE_RANK_NEEDS):
+        spaces = ALL[:-1]
+    full = [c for c in packaged_classes if c.mode in spaces]
+    fewer = _census(fano_cat, nikulin_cat, spaces)
+    assert unordered_pairs(fewer) <= unordered_pairs(full)
+    assert set(distinct_betti(fewer)) <= set(distinct_betti(full))
+
+
+@METAMORPHIC
+@given(data=st.data())
+def test_a_copied_fano_family_joins_its_group(fano, nikulin, packaged_classes, data):
+    f = data.draw(st.sampled_from(fano.families))
+    at = data.draw(st.integers(0, len(fano)))
+    copy = FanoFamily(f.id + "'", f.b2, f.b3, f.minus_k3)
+    assert all(g.id != copy.id for g in fano)
+    families = (*fano.families[:at], copy, *fano.families[at:])
+    grown = _census(FanoCatalog(families, False), nikulin, ALL)
+    old, new = f"fano({f.id})", f"fano({copy.id})"
+
+    def labels(group):
+        return tuple(sorted(e.block.label for e in group if e.block.label != new))
+
+    def by_groups(classes):
+        # A class by its mode and its two groups, the copy left out.
+        return {(c.mode, *sorted(map(labels, c.groups))): c for c in classes}
+
+    before, after = by_groups(packaged_classes), by_groups(grown)
+    assert before.keys() == after.keys()
+    for key, c in before.items():
+        first, second = c.groups
+        m, m2 = len(first), len(second)
+        if first is second:
+            weight, diagonal = c.weight, c.diagonal
+            if old in labels(first):
+                weight, diagonal = (m + 1) * (m + 2) // 2, m + 1
+        elif old in labels(first):
+            weight, diagonal = (m + 1) * m2, 0
+        elif old in labels(second):
+            weight, diagonal = m * (m2 + 1), 0
+        else:
+            weight, diagonal = c.weight, c.diagonal
+        assert after[key][:4] == c[:4], key
+        assert (after[key].weight, after[key].diagonal) == (weight, diagonal), key
+    assert distinct_betti(grown) == distinct_betti(packaged_classes)
+
+
+@st.composite
+def edge_families(draw):
+    """Synthetic Fano rows with b2 = 8, 9 and 10: blocks of size 16, 18 and 20."""
+    return [
+        FanoFamily(
+            f"edge-{b2}-{j}", b2, draw(st.sampled_from((0, 2, 4))), 2 * draw(st.integers(1, 40))
+        )
+        for b2 in (8, 9, 10)
+        for j in range(draw(st.integers(1, 3)))
+    ]
+
+
+@METAMORPHIC
+@given(data=st.data())
+def test_numeric_spaces_admit_exactly_the_pairs_below_the_ambient_rank(fano, nikulin, data):
+    extra = data.draw(edge_families())
+    fano_cat = FanoCatalog((*fano.families, *extra), False)
+    admitted = {key[2:] for key in unordered_pairs(_census(fano_cat, nikulin, (*EMB, SEQ)))}
+    blocks = [fano_block(f) for f in fano_cat]
+    blocks += [involution_block(t) for t in nikulin if fixed_locus(t).kind != EMPTY]
+    quartic = quartic_blowup_block()
+    size = {b.label: b.rank + b.l_bound for b in (*blocks, quartic)}
+    # Fano 2 b2, involution r + a with r - a even, quartic 2: no odd size.
+    assert all(s % 2 == 0 for s in size.values())
+    candidates = [
+        (CLAUSES[p.kind, q.kind], *sorted((p.label, q.label)))
+        for i, p in enumerate(blocks)
+        for q in blocks[i:]
+    ]
+    candidates += [(SEQ, *sorted((quartic.label, q.label))) for q in blocks]
+    assert admitted <= set(candidates)
+    edge = set()
+    for mode, label1, label2 in candidates:
+        total = size[label1] + size[label2]
+        assert ((mode, label1, label2) in admitted) == (total < _AMBIENT_RANK), (label1, label2)
+        if "fano(edge-" in label1 + label2:
+            edge.add(total)
+    # The synthetic groups sit on both sides of the edge, at 18 and 20.
+    assert {18, 20} <= edge

@@ -257,8 +257,13 @@ def test_validation_failure_exit_code(tmp_path, capsys):
         ),
         (["validate", "--nikulin"], "r,a,delta,source\u00a0\n2,0,0,x\n", ":1: expected header"),
         (["validate", "--nikulin"], 'r,a,delta,source\n"2",0,0,x\n', ":2: cells are not quoted"),
+        (
+            ["validate", "--nikulin"],
+            "r,a,delta,source\n1,1,0,x\n",
+            ":2: no even 2-elementary lattice of signature (1, 0) has a=1, delta=0",
+        ),
     ],
-    ids=["fano-rank-11", "nbsp-header", "quoted-cell"],
+    ids=["fano-rank-11", "nbsp-header", "quoted-cell", "no-such-class"],
 )
 def test_bad_catalog_line_exits_1(tmp_path, capsys, argv, text, message):
     bad = tmp_path / "bad.csv"
@@ -278,9 +283,12 @@ def test_non_utf8_catalog_is_a_validation_failure(tmp_path, capsys):
     assert err.startswith(f"g2sum: {bad}: catalog is not UTF-8 text")
 
 
-def test_incomplete_catalog_with_an_unpaired_6_6_0_row_keeps_the_mirror_list(tmp_path, capsys):
+def test_incomplete_catalog_with_an_unpaired_6_6_0_row_keeps_the_mirror_list(
+    tmp_path, capsys, nikulin
+):
     # (6,6,0) has the shape of the mirror partner of the excluded (14,6,0)
-    # class; the pair must be left out, as the packaged catalog leaves it out.
+    # class, but no even 2-elementary lattice of signature (1, 5) has a = 6 and
+    # delta = 0, so a catalog file holding it is refused.
     import g2sum.catalog
 
     packaged = (g2sum.catalog.default_data_dir() / "nikulin.csv").read_text()
@@ -288,12 +296,32 @@ def test_incomplete_catalog_with_an_unpaired_6_6_0_row_keeps_the_mirror_list(tmp
     assert len(rows) < len(packaged.splitlines())
     user = tmp_path / "nik.csv"
     user.write_text("\n".join(rows + ["6,6,0,6*<-2>"]) + "\n")
-    code, expected, _ = run_cli(capsys, "betti-list", "mirror")
-    assert code == EXIT_OK
     code, out, err = run_cli(capsys, "betti-list", "mirror", "--nikulin", str(user))
-    assert code == EXIT_OK, err
-    assert err.startswith("# data: nikulin 76 rows (INCOMPLETE)")
-    assert out == expected
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith(
+        f"g2sum: {user}:{len(rows) + 1}: no even 2-elementary lattice of signature (1, 5) "
+        "has a=6, delta=0"
+    )
+    # A catalog built past the loader still leaves the pair out.
+    extra = g2sum.catalog.NikulinCatalog(
+        (*nikulin, g2sum.catalog.NikulinTriple(6, 6, 0)), complete=False
+    )
+    assert g2sum.catalog.mirror_pairs(extra) == g2sum.catalog.mirror_pairs(nikulin)
+
+
+def test_complete_catalog_with_an_impossible_class_exits_1(tmp_path, capsys):
+    # Swapping (1,1,1) for (1,1,0) keeps 75 distinct rows; (1,1,0) is no class.
+    import g2sum.catalog
+
+    packaged = (g2sum.catalog.default_data_dir() / "nikulin.csv").read_text()
+    assert "\n1,1,1,<2>\n" in packaged
+    user = tmp_path / "nik.csv"
+    user.write_text(packaged.replace("\n1,1,1,<2>\n", "\n1,1,0,<2>\n"))
+    code, out, err = run_cli(capsys, "validate", "--nikulin", str(user))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith(f"g2sum: {user}:7: no even 2-elementary lattice of signature (1, 0)")
 
 
 def test_missing_catalog_exit_code(tmp_path, capsys):

@@ -122,13 +122,12 @@ def test_rank_condition_boundary_is_22(monkeypatch, fano, nikulin):
 
     # k = 9: P3 x (12,2,1) sums to 1 + 9 + 12 = 22 and P3 x P3 to 20.
     monkeypatch.setattr(enumerator_mod, "fano_block", raised(9))
-    census = _census(*small, (EMB_A, EMB_B, EMB_C))
-    classes = census[EMB_A] + census[EMB_B] + census[EMB_C]
+    classes = _census(*small, (EMB_A, EMB_B, EMB_C))
     excess = sorted(sum(rank_excess(g[0].block) for g in c.groups) for c in classes)
     assert excess == [20, 22]
     # k = 10: P3 x (12,2,1) sums to 23 and breaks the condition; P3 x P3 sums to 22.
     monkeypatch.setattr(enumerator_mod, "fano_block", raised(10))
-    assert [c.mode for c in _census(*small, (EMB_A,))[EMB_A]] == [EMB_A]
+    assert [c.mode for c in _census(*small, (EMB_A,))] == [EMB_A]
     for spaces in ((EMB_A, EMB_B, EMB_C), (EMB_B,)):
         with pytest.raises(
             IdentityError,
@@ -186,7 +185,7 @@ def test_record_api(nikulin, emb_records):
     b200 = involution_block(nikulin.find(2, 0, 0))
     rec = _record(b18, b200)
     assert (rec.b2, rec.b3, rec.mode, rec.blocks) == (24, 95, "GLUED", (b18, b200))
-    assert rec.betti == (24, 95) and rec.certificate.has_cond_a
+    assert (rec.b2, rec.b3) == (24, 95) and rec.certificate.has_cond_a
     assert (rec.weight, rec.diagonal, _record(b18, b18).diagonal) == (1, 0, 1)
 
     for name in ("b2", "certificate"):
@@ -214,7 +213,7 @@ def test_mirror_every_record_verified(nikulin):
     # The rank condition is tightest on the mirror pairs: r + (20 - r) = 20.
     for r in enumerate_mirror(nikulin):
         assert sum(map(rank_excess, r.blocks)) == sum(b.rank for b in r.blocks) == 20
-        assert glue_betti(*r.blocks) == r.betti
+        assert glue_betti(*r.blocks) == (r.b2, r.b3)
 
 
 # --- large-rank mode -------------------------------------------------------------
@@ -287,7 +286,7 @@ def test_emb_census_full_catalog(emb_records):
 
 
 def test_count_matched_pairs_rejects_non_emb_rows(fano, nikulin):
-    mirror = _census(fano, nikulin, (MIRROR,))[MIRROR]
+    mirror = _census(fano, nikulin, (MIRROR,))
     assert mirror
     with pytest.raises(LatticeError, match="count_matched_pairs expects EMB_\\* rows, got MIRROR"):
         count_matched_pairs(mirror)
@@ -454,7 +453,7 @@ def test_every_record_matches_its_mode_closed_form(nikulin, fano, emb_records):
     records = list(emb_records) + all_mode_records(nikulin, fano)
     assert {r.mode for r in records} == {EMB_A, EMB_B, EMB_C, MIRROR, SEQ, LARGE_RANK}
     for r in records:
-        assert r.betti == paper_closed_form(r), r
+        assert (r.b2, r.b3) == paper_closed_form(r), r
 
 
 # --- comparison set -----------------------------------------------------------------
@@ -482,7 +481,7 @@ def test_compare_joyce_counts_violations_per_record(fano):
     bad = _record(p3, q3)  # sum 145 = 1 mod 4
     assert (bad.b2 + bad.b3) % 4 == 1
     records = [good, bad, bad]
-    joyce = JoyceCatalog(pairs=(good.betti,), complete=False)
+    joyce = JoyceCatalog(pairs=((good.b2, good.b3),), complete=False)
     cmp = compare_joyce(records, joyce)
     assert cmp.mod4_violations == 2  # per record, not per distinct pair
     assert cmp.overlap_count == 1
