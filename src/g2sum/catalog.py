@@ -33,7 +33,8 @@ The line grammar:
   ``"`` is rejected.  The header's cells must be the loader's column
   names, and a data line needs one cell per column.
 * Each cell is stripped of ASCII space and tab only.  An integer cell is
-  ``[+-]?[0-9]+``; an ``id`` or ``source`` cell is any other text.
+  ``[+-]?[0-9]+`` of at most ``sys.get_int_max_str_digits()`` digits
+  (4300 by default); an ``id`` or ``source`` cell is any other text.
 
 ASCII space and tab are the only padding: U+00A0 in a cell is text, and so
 is U+FEFF, so a file that starts with a UTF-8 byte-order mark fails its
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -246,7 +248,11 @@ def _typed_row(path: Path, lineno: int, line: str, header: tuple[str, ...]) -> t
         if name in ("id", "source"):
             values.append(text)
         elif _INTEGER.fullmatch(text):
-            values.append(int(text))
+            try:
+                values.append(int(text))
+            except ValueError:  # more digits than ``int`` converts
+                message = f"field {name!r} has over {sys.get_int_max_str_digits()} digits"
+                raise CatalogError(f"{path}:{lineno}: {message}") from None
         else:
             raise CatalogError(f"{path}:{lineno}: field {name!r} must be an integer, got {cell!r}")
     return tuple(values)
@@ -271,11 +277,11 @@ def _two_elementary_exists(t_plus: int, t_minus: int, a: int, delta: int) -> boo
 def load_nikulin(path: str | Path | None = None) -> NikulinCatalog:
     """Load and strictly validate the invariant-lattice triple catalog.
 
-    Row rules: 1 <= r <= 20, 0 <= a <= 11, r - a >= 0 and even, r + a <= 22
-    (the fixed curve's genus (22 - r - a)/2 is nonnegative), delta in
-    {0, 1}; then Nikulin's existence theorem (Thm 3.6.2) for the invariant
-    lattice, of signature (1, r - 1), and for its complement in the K3
-    lattice, of signature (2, 20 - r), each with the row's a and delta;
+    Row rules: 1 <= r <= 20, a >= 0, delta in {0, 1}; then Nikulin's
+    existence theorem (Thm 3.6.2) for the invariant lattice, of signature
+    (1, r - 1), and for its complement in the K3 lattice, of signature
+    (2, 20 - r), each with the row's a and delta.  The theorem implies a <= r,
+    r - a even and r + a <= 22 (the fixed curve's genus is nonnegative);
     duplicate (r, a, delta) rejected.  So every row is one of Nikulin's 75
     classes, and under the ``#complete`` pragma the row count must be
     exactly 75: all of them.
@@ -287,14 +293,8 @@ def load_nikulin(path: str | Path | None = None) -> NikulinCatalog:
     for lineno, (r, a, delta, source) in rows:
         if not 1 <= r <= 20:
             raise CatalogError(f"{p}:{lineno}: r must be in 1..20, got {r}")
-        if not 0 <= a <= 11:
-            raise CatalogError(f"{p}:{lineno}: a must be in 0..11, got {a}")
-        if r - a < 0:
-            raise CatalogError(f"{p}:{lineno}: r - a must be nonnegative, got r={r}, a={a}")
-        if (r - a) % 2 != 0:
-            raise CatalogError(f"{p}:{lineno}: r - a must be even, got r={r}, a={a}")
-        if r + a > 22:
-            raise CatalogError(f"{p}:{lineno}: r + a must be at most 22, got r={r}, a={a}")
+        if a < 0:
+            raise CatalogError(f"{p}:{lineno}: a must be nonnegative, got {a}")
         if delta not in (0, 1):
             raise CatalogError(f"{p}:{lineno}: delta must be 0 or 1, got {delta}")
         for signature in ((1, r - 1), (2, 20 - r)):
@@ -360,8 +360,9 @@ def load_joyce(path: str | Path | None = None) -> JoyceCatalog | None:
     """Load the optional comparison catalog.
 
     None only when no path is given and the default file is absent; a
-    given path that cannot be read raises ``OSError``.  Under ``#complete``
-    the set must have 252 rows, 239 of them satisfying b2 + b3 = 3 (mod 4).
+    given path that cannot be read raises ``OSError``.  The pairs are
+    nonnegative and distinct; under ``#complete`` there must be 252, 239
+    of them satisfying b2 + b3 = 3 (mod 4).
     """
     if path is not None:
         p = Path(path)
@@ -370,11 +371,13 @@ def load_joyce(path: str | Path | None = None) -> JoyceCatalog | None:
         if not p.exists():
             return None
     pragmas, rows = _read_rows(p, ("b2", "b3"))
-    pairs: list[tuple[int, int]] = []
+    pairs: dict[tuple[int, int], None] = {}  # an ordered set
     for lineno, (b2, b3) in rows:
         if b2 < 0 or b3 < 0:
             raise CatalogError(f"{p}:{lineno}: Betti numbers must be nonnegative")
-        pairs.append((b2, b3))
+        if (b2, b3) in pairs:
+            raise CatalogError(f"{p}:{lineno}: duplicate pair {(b2, b3)}")
+        pairs[b2, b3] = None
     complete = "complete" in pragmas
     if complete:
         if len(pairs) != 252:
@@ -408,13 +411,14 @@ def fixed_locus(t: NikulinTriple) -> FixedLocus:
 def mirror_key(t: NikulinTriple) -> tuple[int, int, int] | None:
     """The key (20-r, a, delta) of the mirror partner of ``t``, or None.
 
-    The one definition of the mirror relation.  It is symmetric and
-    excludes the class with an empty fixed locus, (10,10,0), which gives
-    no building block and is its own partner, and (14,6,0), whose partner
-    shape (6,6,0) is no even 2-elementary lattice of signature (1, 5).
+    The one definition of the mirror relation.  Nikulin's Thm 3.6.2 must
+    admit signature (1, s-1) with t's a and delta for s = r and s = 20-r,
+    both, so that the relation is symmetric; (10,10,0), whose fixed locus
+    is empty, gives no building block and has no partner.
     """
     partner = (20 - t.r, t.a, t.delta)
-    if fixed_locus(t).kind == EMPTY or (14, 6, 0) in (t.key, partner):
+    admitted = all(_two_elementary_exists(1, s - 1, t.a, t.delta) for s in (t.r, 20 - t.r))
+    if fixed_locus(t).kind == EMPTY or not admitted:
         return None
     return partner
 

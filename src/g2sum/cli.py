@@ -334,21 +334,17 @@ def _cmd_crosscheck(
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
 ) -> int:
-    failures: list[str] = []
-    checked = 0
-    for t in nikulin:
-        if fixed_locus(t).kind == EMPTY:
-            continue
-        checked += 1
+    involutions = [t for t in nikulin if fixed_locus(t).kind != EMPTY]
+    for t in involutions:
         result = euler_crosscheck(t)
         if not result.ok:
-            failures.append(
+            raise IdentityError(
                 f"fixed-curve recomputation disagrees for {t.key}: "
                 f"h11 {result.h11} vs b2 {result.b2_bar}, "
                 f"h12 {result.h12} vs b3/2 {result.b3_bar // 2}, "
                 f"fixed-curve Euler sum {result.euler_sum}"
             )
-    rows = [("euler_crosscheck", checked, "FAIL" if failures else "OK")]
+    rows = [("euler_crosscheck", len(involutions), "OK")]
 
     emb_spaces = _MODE_SPACES["emb"]
     every = _census(fano, nikulin, (*emb_spaces, MIRROR, SEQ, LARGE_RANK))
@@ -386,9 +382,7 @@ def _cmd_crosscheck(
         )
 
     _write_rows(rows, ("check", "items", "status"), args.format)
-    for failure in failures:
-        print(f"crosscheck failure: {failure}", file=sys.stderr)
-    return EXIT_VALIDATION if failures else EXIT_OK
+    return EXIT_OK
 
 
 _COMMANDS = {

@@ -70,6 +70,41 @@ def test_existence_theorem_derives_the_packaged_classes(nikulin):
     assert derived == {t.key for t in nikulin}
 
 
+def _old_row_rules(r, a, delta):
+    """``load_nikulin``'s row rules before the theorem took over its bounds."""
+    return (
+        1 <= r <= 20
+        and 0 <= a <= 11
+        and r - a >= 0
+        and (r - a) % 2 == 0
+        and r + a <= 22
+        and delta in (0, 1)
+        and _two_elementary_exists(1, r - 1, a, delta)
+        and _two_elementary_exists(2, 20 - r, a, delta)
+    )
+
+
+def test_row_rules_accept_what_the_former_bounds_accepted(tmp_path, nikulin):
+    # The dropped bounds (a <= 11, r - a even and nonnegative, r + a <= 22)
+    # follow from the theorem: the loader accepts or rejects every row of a
+    # box around the classes as the former rules did.
+    p = tmp_path / "row.csv"
+    accepted = set()
+    for r in range(-3, 26):
+        for a in range(-3, 40):
+            for delta in range(-1, 3):
+                p.write_text(f"{NIK_HEADER}{r},{a},{delta},x\n")
+                try:
+                    load_nikulin(p)
+                except CatalogError as exc:
+                    assert str(exc).startswith(f"{p}:2: "), exc
+                    assert not _old_row_rules(r, a, delta), (r, a, delta)
+                else:
+                    assert _old_row_rules(r, a, delta), (r, a, delta)
+                    accepted.add((r, a, delta))
+    assert accepted == {t.key for t in nikulin}
+
+
 def test_packaged_fano_catalog(fano, fano_rank_one):
     assert len(fano.families) == 105
     assert fano.complete_rank_1
@@ -106,18 +141,20 @@ def test_data_dir_env_override(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "row,message",
     [
-        ("3,2,1,x", "r - a must be even, got r=3, a=2"),
+        # r - a odd, a > 11, a > r and r + a > 22: no even 2-elementary
+        # lattice of the invariant or the complement's signature has a, delta
+        ("3,2,1,x", "signature (1, 2) has a=2, delta=1"),
         ("21,1,1,x", "r must be in 1..20, got 21"),
-        ("12,12,1,x", "a must be in 0..11, got 12"),
-        ("2,4,0,x", "r - a must be nonnegative"),
-        ("19,11,1,x", "r + a must be at most 22, got r=19, a=11"),
+        ("12,12,1,x", "signature (2, 8) has a=12, delta=1"),
+        ("2,4,0,x", "signature (1, 1) has a=4, delta=0"),
+        ("19,11,1,x", "signature (2, 1) has a=11, delta=1"),
         ("2,0,2,x", "delta must be 0 or 1, got 2"),
         ("2,0,0", "expected 4 fields, got 3"),
         ("x,0,0,s", "field 'r' must be an integer"),
         # a sign and ASCII digits are an integer; int() would also read "_"
         # separators and other digits, here as (18, 0, 0) and (1, 1, 1)
         ("+21,1,1,x", "r must be in 1..20, got 21"),
-        ("2,-2,0,x", "a must be in 0..11, got -2"),
+        ("2,-2,0,x", "a must be nonnegative, got -2"),
         ("1_8,0,0,x", "field 'r' must be an integer, got '1_8'"),
         ("\u0661,1,1,x", "field 'r' must be an integer, got '\u0661'"),
         # only ASCII space and tab pad a line or a cell; str.strip() would
@@ -293,6 +330,46 @@ def test_joyce_row_rejects(tmp_path, row, message):
     assert f"{p}:2: {message}" in str(exc.value)
 
 
+def test_joyce_rejects_a_repeated_pair(tmp_path):
+    p = write(tmp_path, "b2,b3\n1,5\n9,55\n1,5\n")
+    with pytest.raises(CatalogError) as exc:
+        load_joyce(p)
+    assert str(exc.value) == f"{p}:4: duplicate pair (1, 5)"
+
+
+def test_joyce_checks_nonnegativity_before_repeats(tmp_path):
+    p = write(tmp_path, "b2,b3\n-1,5\n-1,5\n")
+    with pytest.raises(CatalogError, match=":2: Betti numbers must be nonnegative"):
+        load_joyce(p)
+
+
+# ``int`` converts at most this many digits; 0 means no limit.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="the interpreter has no int digit limit")
+@pytest.mark.parametrize(
+    "load,text,field",
+    [
+        (load_nikulin, NIK_HEADER + "{n},0,0,x\n", "r"),
+        (load_fano, FANO_HEADER + "A,1,{n},64,x\n", "b3"),
+        (load_joyce, "b2,b3\n2,{n}\n", "b3"),
+    ],
+    ids=["nikulin", "fano", "joyce"],
+)
+def test_integer_cell_over_the_digit_limit_is_a_catalog_error(tmp_path, load, text, field):
+    p = write(tmp_path, text.format(n="9" * (INT_DIGITS + 1)))
+    with pytest.raises(CatalogError) as exc:
+        load(p)
+    assert str(exc.value) == f"{p}:2: field {field!r} has over {INT_DIGITS} digits"
+    # as many digits as the limit still make an integer, 0 (a bad r, for Nikulin)
+    p = write(tmp_path, text.format(n="0" * INT_DIGITS))
+    try:
+        load(p)
+    except CatalogError as exc:
+        assert str(exc) == f"{p}:2: r must be in 1..20, got 0"
+
+
 def test_joyce_loads_when_given(tmp_path):
     p = write(tmp_path, "b2,b3\n1,2\n9,55\n")
     cat = load_joyce(p)
@@ -354,9 +431,9 @@ def oracle(data_lines, read_row):
     return values, pragmas
 
 
-def joyce_row(line, _):
+def joyce_row(line, earlier):
     m = JOYCE_ROW.fullmatch(line)
-    if m is None or int(m[1]) < 0 or int(m[2]) < 0:
+    if m is None or int(m[1]) < 0 or int(m[2]) < 0 or (int(m[1]), int(m[2])) in earlier:
         return None
     return (int(m[1]), int(m[2]))
 
@@ -477,9 +554,9 @@ def test_mirror_partner(nikulin):
     # rank-10 classes can be their own partner
     t10 = nikulin.find(10, 4, 1)
     assert nikulin.find(*mirror_key(t10)).key == (10, 4, 1)
-    # excluded: r + a = 22 has no catalog partner; the (14,6,0) exception
-    # and the free class have no key
-    assert nikulin.find(*mirror_key(nikulin.find(13, 9, 1))) is None
+    # excluded: a partner shape that is no class, as (7,9,1) for (13,9,1)
+    # with r + a = 22 and (6,6,0) for (14,6,0), and the free class
+    assert mirror_key(nikulin.find(13, 9, 1)) is None
     assert mirror_key(nikulin.find(14, 6, 0)) is None
     assert mirror_key(nikulin.find(10, 10, 0)) is None
 

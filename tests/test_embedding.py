@@ -187,25 +187,47 @@ def _old_mirror_pair_rule(b1, b2):
     return None
 
 
-def test_mirror_rule_matches_its_former_exclusions_on_every_loadable_shape(fano):
-    # Every (r, a, delta) that load_nikulin accepts, but the fixed-point-free
-    # (10,10,0), which matching_condition rejects before any rule runs.
-    shapes = [
-        NikulinTriple(r, a, delta)
-        for r in range(1, 21)
-        for a in range(0, min(r, 11) + 1)
-        for delta in (0, 1)
-        if (r - a) % 2 == 0
-    ]
-    assert len(shapes) == 190
-    blocks = [involution_block(t) for t in shapes if t.key != (10, 10, 0)]
+def _even_two_elementary_lattice_exists(t_plus, t_minus, a, delta):
+    """Nikulin (1979), Thm 3.6.2, written out condition by condition."""
+    rank, sig = t_plus + t_minus, (t_plus - t_minus) % 8
+    if a > rank or (rank - a) % 2:
+        return False
+    if delta == 0 and sig % 4:
+        return False
+    if a == 0 and (delta == 1 or sig != 0):
+        return False
+    if a == 1 and sig not in (1, 7):
+        return False
+    if a == 2 and sig == 4 and delta == 1:
+        return False
+    return not (delta == 0 and a == rank and sig != 0)
+
+
+def _complement_test(b1, b2):
+    """Mirror partners: (20-r, a, delta), a lattice of signature (1, 19-r)."""
+    t1, t2 = b1.triple, b2.triple
+    if t1 is None or t2 is None:
+        return None
+    if t2.key == (20 - t1.r, t1.a, t1.delta) and _even_two_elementary_lattice_exists(
+        1, 19 - t1.r, t1.a, t1.delta
+    ):
+        return "mirror-pair"
+    return None
+
+
+def test_mirror_rule_matches_its_former_exclusions_on_every_loadable_shape(nikulin, fano):
+    # Every shape load_nikulin accepts, the 75 packaged classes, but the
+    # fixed-point-free (10,10,0), which matching_condition rejects before
+    # any rule runs, plus a Fano block.  The complement test is the oracle.
+    blocks = [involution_block(t) for t in nikulin if t.key != (10, 10, 0)]
+    assert len(blocks) == 74
     blocks.append(fano_block(fano[0]))
     fired = 0
     for b1 in blocks:
         for b2 in blocks:
-            expected = _old_mirror_pair_rule(b1, b2)
+            expected = _complement_test(b1, b2)
+            assert _old_mirror_pair_rule(b1, b2) == expected, (b1.label, b2.label)
             assert embedding_mod._mirror_pair_rule(b1, b2) == expected, (b1.label, b2.label)
             fired += expected is not None
-    # 58 shapes with r <= 9, (6,6,0) without a partner: 57 pairs both ways;
-    # 11 rank-10 shapes each paired with itself
-    assert fired == 2 * 57 + 11
+    # 26 pairs with r < 10 both ways, and 10 rank-10 classes each with itself
+    assert fired == 62
