@@ -7,7 +7,8 @@ Subcommands:
                         three numeric clauses);
 * ``betti-list MODE``   the distinct (b2, b3) pairs for one mode;
 * ``table1``            per-b2 summary of the numeric-clause enumeration:
-                        pair count and sorted b3 values for b2 = 2..18;
+                        the number of distinct b3 values and those values,
+                        sorted, for b2 = 2..18;
 * ``crosscheck``        run every internal identity: the fixed-curve
                         recomputation for all involution classes, and the
                         closed-form-vs-gluing identity and the rank
@@ -423,7 +424,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError as exc:
         # The reader closed stdout.  Point the descriptor at devnull so the
         # interpreter's final flush of the unwritten buffer cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print(f"g2sum: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
     finally:

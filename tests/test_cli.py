@@ -545,6 +545,26 @@ def test_closed_stdout_on_a_small_output_is_io_error_without_traceback(argv, opt
     assert "Traceback" not in proc.stderr
 
 
+def _lowest_free_fd():
+    fd = os.dup(0)
+    os.close(fd)
+    return fd
+
+
+def test_closed_stdout_leaves_no_descriptor_open(monkeypatch):
+    # In process, each call points its own closed pipe at devnull; the
+    # descriptor it opened to do so must not outlive the call.
+    before = _lowest_free_fd()
+    for _ in range(2):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["enumerate", "emb"]) == EXIT_IO
+            monkeypatch.undo()
+    assert _lowest_free_fd() == before
+
+
 def test_cli_start_imports_no_rational_arithmetic():
     probe = "import sys, g2sum.cli; print(*{'fractions', 'decimal', 'numbers'} & set(sys.modules))"
     proc = subprocess.run(

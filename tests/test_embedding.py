@@ -1,11 +1,18 @@
-"""Embedding sufficiency and matching certificates."""
+"""The matching certificate: the numeric criterion, its special rules."""
 
+import hashlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from g2sum.building_blocks import BuildingBlock, fano_block, involution_block
+from g2sum.building_blocks import (
+    BuildingBlock,
+    fano_block,
+    involution_block,
+    quartic_blowup_block,
+)
 from g2sum.catalog import NikulinTriple, mirror_pairs
 from g2sum.embedding import (
     BOTH,
@@ -15,73 +22,70 @@ from g2sum.embedding import (
     NONE,
     SUFFICIENT,
     SUFFICIENT_UNIQUE,
-    embeds_in_2e8_2h,
     matching_condition,
-    nikulin_sufficient,
 )
-from g2sum.lattice_core import LatticeError, Signature
+from g2sum.lattice_core import LatticeError
 import g2sum.embedding as embedding_mod
 
-E_GLUE = Signature(2, 18)  # 2*E8(-1) + 2*U
-E_K3 = Signature(3, 19)
+
+def _numeric(*shapes):
+    """The numeric status of two hand-built blocks of shapes (rank, l_bound).
+
+    No catalog row is attached, so neither special rule can fire.
+    """
+    b1, b2 = (BuildingBlock("FANO", f"lattice{s}", 0, 0, 0, *s) for s in shapes)
+    verdict = matching_condition(b1, b2).verdict_a
+    assert verdict.rule == "numeric"
+    return verdict.status
 
 
 def test_sufficient_unique_small_lattice():
-    v = nikulin_sufficient(Signature(1, 0), 1, 1, E_GLUE, 20)
-    assert v.status == SUFFICIENT_UNIQUE
+    assert _numeric((1, 0), (1, 0)) == SUFFICIENT_UNIQUE
+    assert _numeric((1, 1), (0, 0)) == SUFFICIENT_UNIQUE
 
 
 def test_inconclusive_at_boundary():
-    v = nikulin_sufficient(Signature(1, 9), 10, 10, E_GLUE, 20)
-    assert v.status == INCONCLUSIVE
-
-
-def test_half_rank_into_k3_is_unique():
-    for rk in range(1, 10):
-        v = nikulin_sufficient(Signature(1, rk - 1), rk, rk, E_K3, 22)
-        assert v.status == SUFFICIENT_UNIQUE, rk
+    # size rk + l against the ambient rank 20: 19 passes, 20 does not
+    assert _numeric((5, 5), (5, 4)) == SUFFICIENT
+    assert _numeric((5, 5), (5, 5)) == INCONCLUSIVE
+    assert _numeric((10, 9), (0, 0)) == SUFFICIENT
+    assert _numeric((10, 10), (0, 0)) == INCONCLUSIVE
 
 
 def test_plain_sufficient_band():
-    # l + rk in [rk_E - 2, rk_E): sufficient but uniqueness not guaranteed
-    v = nikulin_sufficient(Signature(1, 9), 10, 8, E_GLUE, 20)
-    assert v.status == SUFFICIENT
-    v = nikulin_sufficient(Signature(1, 9), 10, 9, E_GLUE, 20)
-    assert v.status == SUFFICIENT
+    # size in [18, 20): sufficient but uniqueness not guaranteed
+    assert _numeric((5, 3), (5, 4)) == SUFFICIENT_UNIQUE
+    assert _numeric((5, 4), (5, 4)) == SUFFICIENT
+    assert _numeric((5, 4), (5, 5)) == SUFFICIENT
 
 
 def test_nikulin_sufficient_input_validation():
     with pytest.raises(LatticeError, match="positive rank"):
-        nikulin_sufficient(Signature(0, 0), 0, 0, E_GLUE, 20)
-    with pytest.raises(LatticeError, match="cannot exceed"):
-        nikulin_sufficient(Signature(1, 1), 2, 3, E_GLUE, 20)
+        _numeric((0, 0), (0, 0))
+    with pytest.raises(LatticeError, match=r"^l\(N\) = 3 cannot exceed rk N = 2$"):
+        _numeric((1, 1), (1, 2))
 
 
 def test_nikulin_sufficient_monotone_in_l():
-    for rk in range(1, 12):
-        statuses = []
-        for l in range(0, rk + 1):
-            statuses.append(nikulin_sufficient(Signature(1, rk - 1), rk, l, E_GLUE, 20).status)
-        # once inconclusive, stays inconclusive as l grows
-        rank_of = {SUFFICIENT_UNIQUE: 0, SUFFICIENT: 1, INCONCLUSIVE: 2}
-        degrees = [rank_of[s] for s in statuses]
-        assert degrees == sorted(degrees)
+    rank_of = {SUFFICIENT_UNIQUE: 0, SUFFICIENT: 1, INCONCLUSIVE: 2}
+    for r1 in range(1, 12):
+        for r2 in range(1, 12):
+            for l2 in range(0, r2 + 1):
+                degrees = [rank_of[_numeric((r1, l1), (r2, l2))] for l1 in range(0, r1 + 1)]
+                # once inconclusive, stays inconclusive as l grows
+                assert degrees == sorted(degrees), (r1, r2, l2)
 
 
 def test_embeds_direct_sum_additivity():
-    parts = [(3, 1, Signature(1, 2)), (5, 3, Signature(1, 4))]
-    assert embeds_in_2e8_2h(parts).status == SUFFICIENT_UNIQUE
-    parts = [(6, 2, Signature(1, 5)), (10, 0, Signature(1, 9))]
-    assert embeds_in_2e8_2h(parts).status == SUFFICIENT
-    parts = [(10, 10, Signature(1, 9))] * 2
-    assert embeds_in_2e8_2h(parts).status == INCONCLUSIVE
+    assert _numeric((3, 1), (5, 3)) == SUFFICIENT_UNIQUE
+    assert _numeric((6, 2), (10, 0)) == SUFFICIENT
+    assert _numeric((10, 10), (10, 10)) == INCONCLUSIVE
 
 
 def test_embeds_fano_pair_small_ranks():
     # rank-1 polarizing lattices: even with the worst-case bound l = rk,
-    # two of them sum to rank 2, far under the gate
-    parts = [(1, 1, Signature(1, 0)), (1, 1, Signature(1, 0))]
-    assert embeds_in_2e8_2h(parts).status == SUFFICIENT_UNIQUE
+    # two of them sum to size 4, far under the gate
+    assert _numeric((1, 1), (1, 1)) == SUFFICIENT_UNIQUE
 
 
 def test_emb_run_writes_only_the_banner_to_stderr():
@@ -119,8 +123,7 @@ def test_self_pair_10_8_0(nikulin):
     # though the numeric criterion alone is inconclusive (10+10+8+8 >= 20)
     assert cert.condition == BOTH
     assert cert.verdict_a.rule == "mirror-pair"
-    numeric = embeds_in_2e8_2h([(10, 8, Signature(1, 9))] * 2)
-    assert numeric.status == INCONCLUSIVE
+    assert _numeric((10, 8), (10, 8)) == INCONCLUSIVE
 
 
 def test_self_pair_18_0_0_matches_nothing(nikulin):
@@ -167,6 +170,41 @@ def test_fixed_point_free_block_rejected():
     with pytest.raises(LatticeError, match=r"\(10,10,0\)"):
         matching_condition(ghost, ghost)
 
+
+def _pool(fano, nikulin):
+    """The census pool: Fano blocks, involution blocks but (10,10,0), the quartic."""
+    blocks = [fano_block(f) for f in fano]
+    blocks += [involution_block(t) for t in nikulin if t.key != (10, 10, 0)]
+    return blocks + [quartic_blowup_block()]
+
+
+def test_certificate_table_is_pinned(fano, nikulin):
+    # Every ordered pair of the 180-block pool, hashed in pool order: a
+    # change to the criterion, to either rule or to their order shows here.
+    pool = _pool(fano, nikulin)
+    assert len(pool) == 180
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for b1 in pool:
+        for b2 in pool:
+            cert = matching_condition(b1, b2)
+            key = (cert.condition, cert.verdict_a.status, cert.verdict_a.rule)
+            digest.update(repr(key).encode())
+            outcomes[key] += 1
+    assert digest.hexdigest() == (
+        "37243793811e4126f67cac1553a4bdebc3b78ca64cb47bb56e727b8f2f0831c6"
+    )
+    assert outcomes == {
+        (BOTH, SUFFICIENT_UNIQUE, "numeric"): 14570,
+        (NONE, INCONCLUSIVE, "numeric"): 11528,
+        (COND_B, INCONCLUSIVE, "numeric"): 4134,
+        (BOTH, SUFFICIENT, "numeric"): 1450,
+        (COND_A, SUFFICIENT, "numeric"): 382,
+        (COND_A, SUFFICIENT_UNIQUE, "numeric"): 198,
+        (COND_A, SUFFICIENT, "large-rank-rank-one"): 76,
+        (COND_A, SUFFICIENT, "mirror-pair"): 52,
+        (BOTH, SUFFICIENT, "mirror-pair"): 10,
+    }
 
 
 def _old_mirror_pair_rule(b1, b2):

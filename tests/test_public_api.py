@@ -44,6 +44,8 @@ REMOVED = (
     "_EMB_CLAUSES",
     "_of_clause",
     "_CLAUSES",
+    "nikulin_sufficient",
+    "embeds_in_2e8_2h",
 )
 
 # Fields and properties deleted from the records that still exist.
