@@ -31,16 +31,16 @@ KIND_FANO = "FANO"
 KIND_BLOWUP = "BLOWUP"
 
 
-class BuildingBlock(Frozen, ignore=("triple", "fano")):
+class BuildingBlock(Frozen, ignore=("triple",)):
     """Topological summary of one building block.
 
     ``b2_bar``/``b3_bar`` are Betti numbers of the closed block; ``rank``
     and ``l_bound`` describe the polarizing lattice for embedding checks.
-    The catalog rows ``triple`` and ``fano`` take no part in equality.
+    The catalog row ``triple`` takes no part in equality.
     """
 
     __slots__ = (
-        "kind", "label", "b2_bar", "b3_bar", "d", "rank", "l_bound", "triple", "fano",
+        "kind", "label", "b2_bar", "b3_bar", "d", "rank", "l_bound", "triple",
     )
 
     def __init__(
@@ -53,9 +53,8 @@ class BuildingBlock(Frozen, ignore=("triple", "fano")):
         rank: int,
         l_bound: int,
         triple: NikulinTriple | None = None,
-        fano: FanoFamily | None = None,
     ) -> None:
-        self._fill(kind, label, b2_bar, b3_bar, d, rank, l_bound, triple, fano)
+        self._fill(kind, label, b2_bar, b3_bar, d, rank, l_bound, triple)
 
 
 def involution_block(t: NikulinTriple) -> BuildingBlock:
@@ -91,8 +90,6 @@ def fano_block(f: FanoFamily) -> BuildingBlock:
         d=0,
         rank=f.b2,
         l_bound=f.b2,
-        triple=None,
-        fano=f,
     )
 
 

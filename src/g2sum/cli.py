@@ -23,8 +23,8 @@ classes' record order.
 
 Data rows go to stdout, diagnostics to stderr.  Exit status: 0 success,
 1 bad catalog data or an identity failure, 2 a catalog that cannot be
-read (``OSError``), a stdout closed before the output ends, or a usage
-error.
+read (``OSError``), any stdout that cannot be written (closed before the
+output ends, or on a full device), or a usage error.
 
 A process enters through ``run``, which freezes the heap before exiting so
 the shutdown sweep skips it; ``main`` is the entry for in-process callers.
@@ -421,9 +421,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CatalogError, IdentityError) as exc:
         print(f"g2sum: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except BrokenPipeError as exc:
-        # The reader closed stdout.  Point the descriptor at devnull so the
-        # interpreter's final flush of the unwritten buffer cannot fail again.
+    except OSError as exc:
+        # Stdout cannot be written: its reader closed it, or its device is
+        # full.  The catalogs are loaded, so a command does no other I/O.
+        # Point the descriptor at devnull so the interpreter's final flush of
+        # the unwritten buffer cannot fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -30,12 +30,11 @@ checks) reads only each block's kind, lattice class
 ``(rank, l_bound, triple)``, gluing inputs ``(b2_bar, b3_bar, d)`` and
 catalog share ``(d, e)``: its *outcome class*.  The *census* is the one
 loop that decides outcomes, for the spaces it is asked for and no other.
-It builds Fano blocks only for a space that reads them (all but
-``MIRROR`` and ``EMB_C``), involution blocks unless ``EMB_A`` is the only
-space, and sorts the pool's outcome groups by size, stably; the quartic
-stays aside.  Each space reads only the groups: ``EMB_A`` and ``EMB_C``
-pair a group of their kind with the slice of that kind's groups from
-itself to the first whose size is the ambient's rank minus its own,
+It builds the whole pool whatever the spaces, and sorts the pool's
+outcome groups by size, stably; the quartic stays aside.  Each space
+reads only the groups: ``EMB_A`` and ``EMB_C`` pair a group of their kind
+with the slice of that kind's groups from itself to the first whose size
+is the ambient's rank minus its own,
 ``EMB_B`` a Fano group with the involution groups below that size,
 ``SEQ`` the quartic (size 2) with the groups below the ambient's rank
 minus 2, and ``MIRROR`` and ``LARGE_RANK`` name their
@@ -199,12 +198,10 @@ def _census(
     an identity failure is reported for the first space that has one.  An
     unknown space raises ``ValueError``.
     """
-    wanted = set(spaces)
-    made = [] if wanted <= {MIRROR, EMB_C} else [(fano_block(f), (0, f.g + 2)) for f in fano]
-    if not wanted <= {EMB_A}:
-        for t in nikulin:
-            if fixed_locus(t).kind != EMPTY:
-                made.append((involution_block(t), (2 + t.r - t.a, 46 - t.r - 3 * t.a)))
+    made = [(fano_block(f), (0, f.g + 2)) for f in fano]
+    for t in nikulin:
+        if fixed_locus(t).kind != EMPTY:
+            made.append((involution_block(t), (2 + t.r - t.a, 46 - t.r - 3 * t.a)))
     made.append((quartic_blowup_block(), (3, 27)))
     order = {label: i for i, label in enumerate(sorted({block.label for block, _ in made}))}
     ids: dict[tuple, int] = {}

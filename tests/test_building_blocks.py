@@ -109,7 +109,7 @@ def test_euler_crosscheck_tests_the_glued_block(monkeypatch, nikulin):
     def shifted(triple):
         b = involution_block(triple)
         return BuildingBlock(
-            b.kind, b.label, b.b2_bar, b.b3_bar + 2, b.d, b.rank, b.l_bound, b.triple, b.fano
+            b.kind, b.label, b.b2_bar, b.b3_bar + 2, b.d, b.rank, b.l_bound, b.triple
         )
 
     monkeypatch.setattr(building_blocks, "involution_block", shifted)

@@ -179,11 +179,14 @@ def test_crosscheck_builds_one_pool_and_certifies_each_lattice_pair_once(capsys,
 @pytest.mark.parametrize(
     "mode, blocks, certificates",
     [
-        # Each clause builds only the blocks of its kinds, and the quartic.
-        ("emb_a", [105, 0, 1], 20),
+        # Every mode builds the whole pool and certifies only its own spaces.
+        ("emb_a", [105, 74, 1], 20),
         ("emb_b", [105, 74, 1], 135),
-        ("emb_c", [0, 74, 1], 225),
+        ("emb_c", [105, 74, 1], 225),
         ("emb", [105, 74, 1], 380),
+        ("mirror", [105, 74, 1], 36),
+        ("seq", [105, 74, 1], 47),
+        ("large_rank", [105, 74, 1], 4),
     ],
 )
 def test_each_emb_mode_decides_only_its_clauses(
@@ -545,6 +548,26 @@ def test_closed_stdout_on_a_small_output_is_io_error_without_traceback(argv, opt
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("optimize", [(), ("-O",)], ids=["plain", "optimized"])
+@pytest.mark.parametrize("argv", [("validate",), ("enumerate", "emb")], ids=" ".join)
+def test_stdout_on_a_full_device_is_io_error_without_traceback(argv, optimize):
+    # Every write to /dev/full fails with ENOSPC: a write error other than a
+    # broken pipe is an I/O error too, not an internal one.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, *optimize, "-m", "g2sum.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    assert proc.returncode == EXIT_IO
+    assert f"g2sum: cannot write output: [Errno {errno.ENOSPC}] " in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _lowest_free_fd():
     fd = os.dup(0)
     os.close(fd)
@@ -640,7 +663,7 @@ real_involution_block = enumerator.involution_block
 def shifted_involution_block(t):
     b = real_involution_block(t)
     return BuildingBlock(
-        b.kind, b.label, b.b2_bar, b.b3_bar + 2, b.d, b.rank, b.l_bound, b.triple, b.fano
+        b.kind, b.label, b.b2_bar, b.b3_bar + 2, b.d, b.rank, b.l_bound, b.triple
     )
 
 
@@ -655,6 +678,7 @@ sys.exit(main(sys.argv[1:]))
 PLANTED_COND_A_BUG = """
 import sys
 import g2sum.enumerator as enumerator
+from g2sum.building_blocks import KIND_FANO
 from g2sum.cli import main
 from g2sum.embedding import COND_B, INCONCLUSIVE, EmbeddingVerdict, MatchCertificate
 
@@ -662,7 +686,7 @@ real_matching_condition = enumerator.matching_condition
 
 
 def cond_b_only(block1, block2):
-    if block1.fano is not None and block2.fano is not None and block1.rank == block2.rank == 1:
+    if block1.kind == block2.kind == KIND_FANO and block1.rank == block2.rank == 1:
         return MatchCertificate(COND_B, EmbeddingVerdict(INCONCLUSIVE, "numeric"))
     return real_matching_condition(block1, block2)
 
@@ -688,7 +712,7 @@ def inflated_fano_block(f):
     b = real_fano_block(f)
     return BuildingBlock(
         b.kind, b.label, b.b2_bar + 23, b.b3_bar, b.d, b.rank, b.l_bound,
-        triple=b.triple, fano=b.fano,
+        triple=b.triple,
     )
 
 

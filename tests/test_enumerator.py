@@ -6,12 +6,14 @@ import pytest
 
 import g2sum.enumerator as enumerator_mod
 from g2sum.building_blocks import (
+    KIND_FANO,
     BuildingBlock,
     fano_block,
     involution_block,
     quartic_blowup_block,
 )
 from g2sum.catalog import FanoCatalog, JoyceCatalog, NikulinCatalog
+from g2sum.cli import _MODE_SPACES
 from g2sum.enumerator import (
     EMB_A,
     EMB_B,
@@ -96,7 +98,7 @@ def test_glue_rank_condition_violation(monkeypatch, nikulin):
     def inflated(t):
         b = real(t)
         return BuildingBlock(
-            b.kind, b.label, b.b2_bar + 3, b.b3_bar, b.d, b.rank, b.l_bound, b.triple, b.fano
+            b.kind, b.label, b.b2_bar + 3, b.b3_bar, b.d, b.rank, b.l_bound, b.triple
         )
 
     monkeypatch.setattr(enumerator_mod, "involution_block", inflated)
@@ -115,7 +117,7 @@ def test_rank_condition_boundary_is_22(monkeypatch, fano, nikulin):
         def block(f):
             b = real(f)
             return BuildingBlock(
-                b.kind, b.label, b.b2_bar + k, b.b3_bar, b.d, b.rank, b.l_bound, b.triple, b.fano
+                b.kind, b.label, b.b2_bar + k, b.b3_bar, b.d, b.rank, b.l_bound, b.triple
             )
 
         return block
@@ -137,40 +139,31 @@ def test_rank_condition_boundary_is_22(monkeypatch, fano, nikulin):
             _census(*small, spaces)
 
 
-def test_only_spaces_that_read_fano_blocks_build_them(monkeypatch, fano, nikulin):
-    calls = Counter()
-    real = enumerator_mod.fano_block
+@pytest.mark.parametrize(
+    "spaces",
+    [*_MODE_SPACES.values(), (EMB_A, EMB_B, EMB_C, MIRROR, SEQ, LARGE_RANK)],
+    ids=[*_MODE_SPACES, "all"],
+)
+def test_every_census_builds_the_whole_pool_once(monkeypatch, fano, nikulin, spaces):
+    # The pool is the same whatever the spaces: each Fano family, each
+    # involution class with a block, then the quartic, each built once.
+    calls = []
+    for name in ("fano_block", "involution_block", "quartic_blowup_block"):
+        real = getattr(enumerator_mod, name)
 
-    def counted(f):
-        calls[f] += 1
-        return real(f)
+        def counted(*args, name=name, real=real):
+            calls.append((name, *args))
+            return real(*args)
 
-    monkeypatch.setattr(enumerator_mod, "fano_block", counted)
-    for spaces in ((MIRROR,), (EMB_C,), (MIRROR, EMB_C)):
-        _census(fano, nikulin, spaces)
-        assert sum(calls.values()) == 0
-    for space in (EMB_A, EMB_B, SEQ, LARGE_RANK):
-        calls.clear()
-        _census(fano, nikulin, (MIRROR, space))
-        assert calls == Counter(fano)
-
-
-def test_only_spaces_that_read_involution_blocks_build_them(monkeypatch, fano, nikulin):
-    calls = Counter()
-    real = enumerator_mod.involution_block
-
-    def counted(t):
-        calls[t] += 1
-        return real(t)
-
-    monkeypatch.setattr(enumerator_mod, "involution_block", counted)
-    _census(fano, nikulin, (EMB_A,))
-    assert sum(calls.values()) == 0
-    with_block = Counter(t for t in nikulin if t.key != (10, 10, 0))
-    for space in (EMB_B, EMB_C, MIRROR, SEQ, LARGE_RANK):
-        calls.clear()
-        _census(fano, nikulin, (EMB_A, space))
-        assert calls == with_block
+        monkeypatch.setattr(enumerator_mod, name, counted)
+    _census(fano, nikulin, spaces)
+    with_block = [t for t in nikulin if t.key != (10, 10, 0)]
+    assert (len(fano), len(with_block)) == (105, 74)
+    assert calls == [
+        *[("fano_block", f) for f in fano],
+        *[("involution_block", t) for t in with_block],
+        ("quartic_blowup_block",),
+    ]
 
 
 def test_an_unknown_space_is_refused(fano, nikulin):
@@ -315,11 +308,21 @@ def lattice_class(block):
     return (block.rank, block.l_bound, None if block.triple is None else block.triple.key)
 
 
-def pair_class(block):
+def family_of(block, fano):
+    """A Fano block's family, looked up by the catalog id in its label; None
+    for a block of another kind."""
+    if block.kind != KIND_FANO:
+        return None
+    family_id = block.label.removeprefix("fano(").removesuffix(")")
+    return next(f for f in fano if f.id == family_id)
+
+
+def pair_class(block, fano):
     """What a pair's outcome reads of a block: its kind, lattice class, gluing
     inputs, and the catalog field that its closed-form share adds (a Fano
     family's genus; an involution's share reads only its triple)."""
-    genus = None if block.fano is None else block.fano.g
+    family = family_of(block, fano)
+    genus = None if family is None else family.g
     return (block.kind, lattice_class(block), block.b2_bar, block.b3_bar, block.d, genus)
 
 
@@ -347,7 +350,7 @@ def test_emb_builds_each_block_once_and_certifies_each_class_once(monkeypatch, f
     assert len(classes) == 380
     assert calls["matching_condition"] == len(classes)
     # The census decides each unordered pair of outcome classes once.
-    pair_classes = {frozenset(pair_class(b) for b in r.blocks) for r in records}
+    pair_classes = {frozenset(pair_class(b, fano) for b in r.blocks) for r in records}
     assert len(pair_classes) == 3446 < len(records)
     assert calls["glue_betti"] == len(pair_classes)
 
@@ -419,13 +422,14 @@ def test_parity_all_modes(nikulin, fano, emb_records):
             assert r.b2 % 2 == 0 and r.b3 % 2 == 1, r
 
 
-def paper_closed_form(record):
+def paper_closed_form(record, fano):
     """The paper's (b2, b3) for a record's mode, from its blocks' catalog rows.
 
     Written out per mode, independently of the enumerator's per-block check.
     """
     block1, block2 = record.blocks
-    f1, f2, t1, t2 = block1.fano, block2.fano, block1.triple, block2.triple
+    f1, f2 = family_of(block1, fano), family_of(block2, fano)
+    t1, t2 = block1.triple, block2.triple
     if record.mode == EMB_A:
         return (0, f1.g + f2.g + 27)
     if record.mode == EMB_B:
@@ -453,7 +457,7 @@ def test_every_record_matches_its_mode_closed_form(nikulin, fano, emb_records):
     records = list(emb_records) + all_mode_records(nikulin, fano)
     assert {r.mode for r in records} == {EMB_A, EMB_B, EMB_C, MIRROR, SEQ, LARGE_RANK}
     for r in records:
-        assert (r.b2, r.b3) == paper_closed_form(r), r
+        assert (r.b2, r.b3) == paper_closed_form(r, fano), r
 
 
 # --- comparison set -----------------------------------------------------------------

@@ -52,7 +52,7 @@ REMOVED = (
 REMOVED_ATTRIBUTES = {
     g2sum.enumerator.G2Record: ("n", "flags", "verified", "simply_connected", "betti"),
     g2sum.enumerator.PairClass: ("flags",),
-    g2sum.building_blocks.BuildingBlock: ("simply_connected",),
+    g2sum.building_blocks.BuildingBlock: ("simply_connected", "fano"),
     g2sum.embedding.MatchCertificate: ("rank_bound_b", "has_cond_b"),
 }
 

@@ -23,8 +23,8 @@ P3 = FanoFamily("P3", 1, 0, 64, source="projective space")
 T_200 = NikulinTriple(2, 0, 0, source="U")
 
 
-def _block(triple=None, fano=None, d=4):
-    return BuildingBlock("INVOLUTION", "involution(2,0,0)", 7, 40, d, 2, 0, triple, fano)
+def _block(triple=None, d=4):
+    return BuildingBlock("INVOLUTION", "involution(2,0,0)", 7, 40, d, 2, 0, triple)
 
 
 def _lattice_with_caches_filled():
@@ -49,7 +49,7 @@ CASES = {
     ),
     "BuildingBlock": (
         lambda: involution_block(T_200),
-        lambda: _block(triple=None, fano=P3),
+        lambda: _block(triple=None),
         lambda: _block(triple=T_200, d=5),
         "triple",
     ),
