@@ -21,6 +21,22 @@ those classes.  None builds a record: ``betti-list``, ``table1`` and
 ``crosscheck`` read the classes' weights, and ``enumerate`` renders the
 classes' record order.
 
+The argv grammar is ``g2sum [-h] COMMAND [ARG ...]``; before the command,
+only ``-h``/``--help`` is an option.  After it, the options and the MODE
+come in any order.  An option's value is the next word (``--format csv``)
+or follows ``=`` in the same word (``--format=csv``), and a long option may
+be cut to any unique prefix (``--form``; ``--f`` is ambiguous).  A word
+that starts with ``-`` is read as an option, never as a value, unless it
+is ``-``, a negative number, or holds a space and names no option.
+``--`` ends the options; it is dropped next to the MODE and is an
+unexpected word anywhere else.  Unexpected words, unknown options among
+them, make one usage error once every other word is used.  ``-h`` or
+``--help`` prints help to stdout and exits 0 where it is read; ``-h``
+takes no inline value.  Every word before ``--`` is read before any is
+used, so an ambiguous prefix fails even after ``-h``.  Anything else is a
+usage error: a ``usage:`` line and ``g2sum[ COMMAND]: error: ...`` on
+stderr, exit 2.
+
 Data rows go to stdout, diagnostics to stderr.  Exit status: 0 success,
 1 bad catalog data or an identity failure, 2 a catalog that cannot be
 read (``OSError``), any stdout that cannot be written (closed before the
@@ -32,11 +48,12 @@ the shutdown sweep skips it; ``main`` is the entry for in-process callers.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
+import re
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import NoReturn, Sequence
 
 # The benchmark (perfbench/) reads the names marked below from this module:
 # spans.install_cli patches them, clirun.CLI_SETUP times catalog loading.
@@ -90,40 +107,165 @@ _MODE_SPACES = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--nikulin", metavar="PATH", help="involution triple catalog")
-    common.add_argument("--fano", metavar="PATH", help="Fano family catalog")
-    common.add_argument("--joyce", metavar="PATH", help="comparison Betti-pair catalog")
-    common.add_argument(
-        "--format",
-        choices=("csv", "json", "text"),
-        default="text",
-        help="output format (default: text)",
-    )
+_COMMANDS_WITH_MODE = ("enumerate", "betti-list")
+# In argparse's order, which an ambiguous prefix's message follows.
+_OPTIONS = ("-h", "--help", "--nikulin", "--fano", "--joyce", "--format")
+_TOP_USAGE = "usage: g2sum [-h] {validate,enumerate,betti-list,table1,crosscheck} ...\n"
+_TOP_HELP = _TOP_USAGE + """
+Betti-number enumeration for twisted-connected-sum 7-manifolds
 
-    parser = argparse.ArgumentParser(
-        prog="g2sum",
-        description="Betti-number enumeration for twisted-connected-sum 7-manifolds",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common], help="check catalog invariants")
-    p_enum = sub.add_parser("enumerate", parents=[common], help="emit full records")
-    p_enum.add_argument("mode", type=_normalize_mode, help="|".join(_MODE_SPACES))
-    p_list = sub.add_parser(
-        "betti-list", parents=[common], help="emit distinct (b2, b3) pairs"
-    )
-    p_list.add_argument("mode", type=_normalize_mode, help="|".join(_MODE_SPACES))
-    sub.add_parser("table1", parents=[common], help="per-b2 summary of emb records")
-    sub.add_parser("crosscheck", parents=[common], help="run all internal identities")
-    return parser
+positional arguments:
+  {validate,enumerate,betti-list,table1,crosscheck}
+    validate            check catalog invariants
+    enumerate           emit full records
+    betti-list          emit distinct (b2, b3) pairs
+    table1              per-b2 summary of emb records
+    crosscheck          run all internal identities
+
+options:
+  -h, --help            show this help message and exit
+"""
+_MODE_HELP = f"""positional arguments:
+  mode                  {"|".join(_MODE_SPACES)}
+
+"""
+_OPTIONS_HELP = """options:
+  -h, --help            show this help message and exit
+  --nikulin PATH        involution triple catalog
+  --fano PATH           Fano family catalog
+  --joyce PATH          comparison Betti-pair catalog
+  --format {csv,json,text}
+                        output format (default: text)
+"""
+# A word of this form is a value, never an option.  The pattern is compiled
+# on first use: a well-formed command line never reaches it.
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
-def _normalize_mode(raw: str) -> str:
+def _usage(command: str | None) -> str:
+    if command is None:
+        return _TOP_USAGE
+    head = f"usage: g2sum {command} "
+    lines = ["[-h] [--nikulin PATH] [--fano PATH] [--joyce PATH]", "[--format {csv,json,text}]"]
+    if command in _COMMANDS_WITH_MODE:
+        lines.append("mode")
+    return head + ("\n" + " " * len(head)).join(lines) + "\n"
+
+
+def _write(stream, text: str) -> None:
+    try:
+        stream.write(text)
+    except OSError:
+        pass  # as argparse did: help or a usage error that cannot be written is dropped
+
+
+def _usage_error(command: str | None, message: str) -> NoReturn:
+    prog = "g2sum" if command is None else "g2sum " + command
+    _write(sys.stderr, f"{_usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help(command: str | None, inline: str | None) -> NoReturn:
+    if inline is not None:
+        _usage_error(command, f"argument -h/--help: ignored explicit argument {inline!r}")
+    if command is None:
+        _write(sys.stdout, _TOP_HELP)
+    else:
+        mode_help = _MODE_HELP if command in _COMMANDS_WITH_MODE else ""
+        _write(sys.stdout, _usage(command) + "\n" + mode_help + _OPTIONS_HELP)
+    raise SystemExit(EXIT_OK)
+
+
+def _read_option(
+    word: str, options: tuple[str, ...], command: str | None
+) -> tuple[str | None, str | None] | None:
+    """``word`` read before any ``--``: None for a plain word, else
+    ``(option, inline value or None)``, where the option is None if no
+    option has that name.  A long option may be cut to a unique prefix."""
+    if not word.startswith("-") or word == "-":
+        return None
+    name, eq, value = word.partition("=")
+    if word in options:
+        return word, None
+    if eq and name in options:
+        return name, value
+    if word.startswith("--"):
+        matches = [option for option in options if option.startswith(name)]
+        if len(matches) > 1:
+            _usage_error(command, f"ambiguous option: {word} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif word.startswith("-h"):
+        return "-h", word[2:]
+    if re.match(_NEGATIVE_NUMBER, word) or " " in word:
+        return None
+    return None, None
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command line's fields, as ``_COMMANDS`` read them, by the grammar
+    of the module docstring: a usage error exits 2, and help exits 0."""
+    unknown = []
+    for at, word in enumerate(argv):
+        read = None if word == "--" else _read_option(word, _OPTIONS[:2], None)
+        if read is None:
+            break
+        if read[0] is None:
+            unknown.append(word)
+        else:
+            _help(None, read[1])
+    else:
+        at = len(argv)
+    if argv[at:] in ([], ["--"]):
+        _usage_error(None, "the following arguments are required: command")
+    command, words = argv[at], argv[at + 1 :]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    fields = {"command": command, "nikulin": None, "fano": None, "joyce": None, "format": "text"}
+    # Every word before ``--`` is read before any is used, so an ambiguous
+    # prefix is an error even after ``-h``.
+    cut = words.index("--") if "--" in words else len(words)
+    reads = [_read_option(word, _OPTIONS, command) for word in words[:cut]]
+    takes_mode = command in _COMMANDS_WITH_MODE
+    i = 0
+    while i < len(words):
+        at, i = i, i + 1
+        read = reads[at] if at < cut else None
+        if read is None and takes_mode and "mode" not in fields and (at != cut or i < len(words)):
+            # As in argparse, the mode word takes along a ``--`` right before or after it.
+            if at == cut:
+                at, i = i, i + 1
+            fields["mode"] = _normalize_mode(words[at], command)
+            i += i == cut
+        elif read is None or read[0] is None:
+            unknown.append(words[at])
+        elif read[0] in _OPTIONS[:2]:
+            _help(command, read[1])
+        else:
+            name, value = read
+            if value is None:
+                if i >= cut or reads[i] is not None:
+                    _usage_error(command, f"argument {name}: expected one argument")
+                value = words[i]
+                i += 1
+            if name == "--format" and value not in _FORMATS:
+                choices = ", ".join(map(repr, sorted(_FORMATS)))
+                _usage_error(command, f"argument --format: invalid choice: {value!r} (choose from {choices})")
+            fields[name[2:]] = value
+    if takes_mode and "mode" not in fields:
+        _usage_error(command, "the following arguments are required: mode")
+    if unknown:
+        _usage_error(None, "unrecognized arguments: " + " ".join(unknown))
+    return SimpleNamespace(**fields)
+
+
+def _normalize_mode(raw: str, command: str) -> str:
     mode = raw.strip().lower().replace("-", "_")
     if mode not in _MODE_SPACES:
-        raise argparse.ArgumentTypeError(
-            f"unknown mode {raw!r} (choose from {', '.join(_MODE_SPACES)})"
+        _usage_error(
+            command,
+            f"argument mode: unknown mode {raw!r} (choose from {', '.join(_MODE_SPACES)})",
         )
     return mode
 
@@ -267,7 +409,7 @@ _RECORD_FIELDS = tuple("b2 b3 mode n condition block1 block2 simply_connected fl
 
 
 def _cmd_validate(
-    args: argparse.Namespace,
+    args: SimpleNamespace,
     nikulin: NikulinCatalog,
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
@@ -277,7 +419,7 @@ def _cmd_validate(
 
 
 def _cmd_enumerate(
-    args: argparse.Namespace,
+    args: SimpleNamespace,
     nikulin: NikulinCatalog,
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
@@ -302,7 +444,7 @@ def _cmd_enumerate(
 
 
 def _cmd_betti_list(
-    args: argparse.Namespace,
+    args: SimpleNamespace,
     nikulin: NikulinCatalog,
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
@@ -313,7 +455,7 @@ def _cmd_betti_list(
 
 
 def _cmd_table1(
-    args: argparse.Namespace,
+    args: SimpleNamespace,
     nikulin: NikulinCatalog,
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
@@ -330,7 +472,7 @@ def _cmd_table1(
 
 
 def _cmd_crosscheck(
-    args: argparse.Namespace,
+    args: SimpleNamespace,
     nikulin: NikulinCatalog,
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
@@ -397,7 +539,7 @@ _COMMANDS = {
 
 # worker.py calls main, clirun.py runs this module; spans.install_cli patches main.
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         nikulin = load_nikulin(args.nikulin)
         fano = load_fano(args.fano)

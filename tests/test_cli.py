@@ -599,18 +599,31 @@ def test_cli_start_imports_no_rational_arithmetic():
 
 def modules_the_cli_import_adds() -> set[str]:
     # Only what the import itself adds counts, so a site hook that loads one
-    # of the modules a test looks for before g2sum cannot fail the test.
+    # of the modules a test looks for before g2sum cannot fail the test.  The
+    # child then runs a command, asks for help and makes a usage error, with
+    # its output kept in memory, so what parsing argv loads counts too.
     probe = (
-        "import sys\n"
+        "import io, sys\n"
         "before = set(sys.modules)\n"
         "import g2sum.cli\n"
-        "print(*sorted(set(sys.modules) - before))"
+        "sys.stdout = sys.stderr = io.StringIO()\n"
+        "for argv in (['validate'], ['--help'], ['enumerate', '--help'], ['enumerate']):\n"
+        "    try:\n"
+        "        g2sum.cli.main(argv)\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print(*sorted(set(sys.modules) - before), file=sys.__stdout__)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
+
+
+def test_cli_start_and_argv_parsing_import_no_argparse_gettext_or_locale():
+    # argparse imports gettext, and building a parser imports locale.
+    assert {"argparse", "gettext", "locale"} & modules_the_cli_import_adds() == set()
 
 
 def test_cli_start_imports_no_dataclasses_inspect_or_logging():
