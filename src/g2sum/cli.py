@@ -31,16 +31,17 @@ is ``-``, a negative number, or holds a space and names no option.
 ``--`` ends the options; it is dropped next to the MODE and is an
 unexpected word anywhere else.  Unexpected words, unknown options among
 them, make one usage error once every other word is used.  ``-h`` or
-``--help`` prints help to stdout and exits 0 where it is read; ``-h``
-takes no inline value.  Every word before ``--`` is read before any is
-used, so an ambiguous prefix fails even after ``-h``.  Anything else is a
-usage error: a ``usage:`` line and ``g2sum[ COMMAND]: error: ...`` on
-stderr, exit 2.
+``--help`` prints help to stdout and exits 0 where it is read (2 if
+stdout cannot be written, as for any output); ``-h`` takes no inline
+value.  Every word before ``--`` is read before any is used, so an
+ambiguous prefix fails even after ``-h``.  Anything else is a usage
+error: a ``usage:`` line and ``g2sum[ COMMAND]: error: ...`` on stderr,
+exit 2.
 
 Data rows go to stdout, diagnostics to stderr.  Exit status: 0 success,
 1 bad catalog data or an identity failure, 2 a catalog that cannot be
 read (``OSError``), any stdout that cannot be written (closed before the
-output ends, or on a full device), or a usage error.
+output ends, or on a full device; help too), or a usage error.
 
 A process enters through ``run``, which freezes the heap before exiting so
 the shutdown sweep skips it; ``main`` is the entry for in-process callers.
@@ -152,16 +153,23 @@ def _usage(command: str | None) -> str:
     return head + ("\n" + " " * len(head)).join(lines) + "\n"
 
 
-def _write(stream, text: str) -> None:
-    try:
-        stream.write(text)
-    except OSError:
-        pass  # as argparse did: help or a usage error that cannot be written is dropped
+def _output_failed(exc: OSError) -> int:
+    """Report that stdout cannot be written: its reader closed it, or its
+    device is full.  The descriptor is pointed at devnull so the
+    interpreter's final flush of the unwritten buffer cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    print(f"g2sum: cannot write output: {exc}", file=sys.stderr)
+    return EXIT_IO
 
 
 def _usage_error(command: str | None, message: str) -> NoReturn:
     prog = "g2sum" if command is None else "g2sum " + command
-    _write(sys.stderr, f"{_usage(command)}{prog}: error: {message}\n")
+    try:
+        sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+    except OSError:
+        pass  # as argparse did: a usage error that cannot be written is dropped
     raise SystemExit(2)
 
 
@@ -169,10 +177,15 @@ def _help(command: str | None, inline: str | None) -> NoReturn:
     if inline is not None:
         _usage_error(command, f"argument -h/--help: ignored explicit argument {inline!r}")
     if command is None:
-        _write(sys.stdout, _TOP_HELP)
+        text = _TOP_HELP
     else:
         mode_help = _MODE_HELP if command in _COMMANDS_WITH_MODE else ""
-        _write(sys.stdout, _usage(command) + "\n" + mode_help + _OPTIONS_HELP)
+        text = _usage(command) + "\n" + mode_help + _OPTIONS_HELP
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()  # a write error surfaces here, not at interpreter exit
+    except OSError as exc:
+        raise SystemExit(_output_failed(exc))
     raise SystemExit(EXIT_OK)
 
 
@@ -564,15 +577,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"g2sum: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
-        # Stdout cannot be written: its reader closed it, or its device is
-        # full.  The catalogs are loaded, so a command does no other I/O.
-        # Point the descriptor at devnull so the interpreter's final flush of
-        # the unwritten buffer cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"g2sum: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+        # The catalogs are loaded, so a command does no other I/O.
+        return _output_failed(exc)
     finally:
         if gc_was_enabled:
             gc.enable()

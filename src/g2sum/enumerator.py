@@ -97,7 +97,6 @@ from .catalog import (
     mirror_pairs,
 )
 from .embedding import _AMBIENT_RANK, LARGE_RANK_ANCHORS, MatchCertificate, matching_condition
-from .lattice_core import LatticeError
 
 EMB_A = "EMB_A"
 EMB_B = "EMB_B"
@@ -435,7 +434,7 @@ def count_matched_pairs(emb_rows: Iterable[G2Record | PairClass]) -> PairCounts:
     diagonal = 0
     for r in emb_rows:
         if r.mode not in by_mode:
-            raise LatticeError(f"count_matched_pairs expects EMB_* rows, got {r.mode}")
+            raise ValueError(f"count_matched_pairs expects EMB_* rows, got {r.mode}")
         by_mode[r.mode] += r.weight
         diagonal += r.diagonal
     return PairCounts(

@@ -240,6 +240,10 @@ def test_enumerate_rows_match_the_library(capsys, fano, nikulin, emb_records, mo
         (r.b2, r.b3, r.mode, r.certificate.condition, r.blocks[0].label, r.blocks[1].label)
         for r in records
     ]
+    # the csv and the text table hold the same rows under one header line
+    _, text, _ = run_cli(capsys, "enumerate", mode)
+    _, out, _ = run_cli(capsys, "enumerate", mode, "--format", "csv")
+    assert len(list(csv.DictReader(io.StringIO(out)))) == len(text.splitlines()) - 1 == len(rows)
 
 
 def test_validation_failure_exit_code(tmp_path, capsys):
@@ -443,6 +447,14 @@ def test_console_script_installed():
     assert proc.returncode == 0
     rows = json.loads(proc.stdout)["rows"]
     assert rows[-1] == {"b2": 18, "count": 1, "b3_values": [93]}
+    # the script and python -m write the same bytes
+    argv = ["enumerate", "emb", "--format", "csv"]
+    script = subprocess.run([exe, *argv], capture_output=True, timeout=120)
+    module = subprocess.run(
+        [sys.executable, "-m", "g2sum.cli", *argv], capture_output=True, timeout=120
+    )
+    assert script.returncode == module.returncode == 0
+    assert script.stdout == module.stdout
 
 
 def test_module_entry_point():
@@ -506,18 +518,19 @@ def test_console_script_enters_through_run():
 def test_closed_stdout_is_io_error_without_traceback():
     # The text output far outgrows a pipe's buffer, so the child is still
     # writing when its reader goes away, as under `| head -1`.
-    with subprocess.Popen(
-        [sys.executable, "-m", "g2sum.cli", "enumerate", "emb"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    ) as proc:
-        assert proc.stdout.readline().split()[:2] == ["b2", "b3"]
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=120)
-    assert proc.returncode == EXIT_IO
-    assert "Traceback" not in err
-    assert "g2sum: cannot write output:" in err
+    for optimize in ((), ("-O",)):
+        with subprocess.Popen(
+            [sys.executable, *optimize, "-m", "g2sum.cli", "enumerate", "emb"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        ) as proc:
+            assert proc.stdout.readline().split()[:2] == ["b2", "b3"]
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_IO, optimize
+        assert "Traceback" not in err
+        assert "g2sum: cannot write output:" in err
 
 
 @pytest.mark.parametrize("optimize", [(), ("-O",)], ids=["plain", "optimized"])

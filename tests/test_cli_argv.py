@@ -280,21 +280,36 @@ def test_fields_of_well_formed_argv(argv, fields):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"], ids=["full", "pipe"])
+@pytest.mark.parametrize("optimize", [(), ("-O",)], ids=["plain", "optimized"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["--help"], ["enumerate", "--help"]], ids=" ".join)
-def test_help_that_cannot_be_written_is_dropped_without_traceback(argv):
-    # Unbuffered, the write itself fails; argparse dropped the error and exited 0.
-    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
-    with open("/dev/full", "w") as full:
+def test_unwritable_help_exits_2(argv, unbuffered, optimize, target):
+    # Buffered, the help fits in the buffer and only the flush fails;
+    # unbuffered, the write itself does.  Either way it is exit 2, as for
+    # any output, and not an error ignored at interpreter exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if target == "/dev/full":
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    try:
         proc = subprocess.run(
-            [sys.executable, "-m", "g2sum.cli", *argv],
-            stdout=full,
+            [sys.executable, *optimize, "-m", "g2sum.cli", *argv],
+            stdout=stdout,
             stderr=subprocess.PIPE,
             text=True,
             env=env,
             timeout=120,
         )
-    assert proc.returncode == 0
-    assert proc.stderr == ""
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("g2sum: cannot write output: ")
+    assert "Exception ignored" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 # --- where the parser deliberately reads argv otherwise than argparse ------

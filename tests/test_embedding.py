@@ -91,7 +91,7 @@ def test_embeds_fano_pair_small_ranks():
 def test_emb_run_writes_only_the_banner_to_stderr():
     # The ambient gate is read from the parsed expression 2*E8(-1) + 2*U, and
     # a fresh process enumerating emb has nothing to say beyond the banner.
-    assert embedding_mod._AMBIENT_SIG == (2, 18)
+    assert (embedding_mod._AMBIENT_SIG, embedding_mod._AMBIENT_RANK) == ((2, 18), 20)
     proc = subprocess.run(
         [sys.executable, "-m", "g2sum.cli", "betti-list", "emb"],
         capture_output=True,

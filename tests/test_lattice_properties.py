@@ -135,6 +135,10 @@ def test_snf_battery_500():
         assert disc.invariant_factors == tuple(d for d in diag if d != 1)
         assert disc.order == product
 
+        sig = lat.signature()
+        assert sig.t_plus + sig.t_minus == n
+        assert (lat.determinant() > 0) == (sig.t_minus % 2 == 0)
+
         # signature is a congruence invariant
         conjugated = IntLattice(mat_mul(mat_mul(transpose(t), lat.gram), t))
         assert conjugated.signature() == lat.signature()
