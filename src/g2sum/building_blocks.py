@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 from ._frozen import Frozen
 from .catalog import EMPTY, FanoFamily, NikulinTriple, fixed_locus
-from .lattice_core import LatticeError
 
 KIND_INVOLUTION = "INVOLUTION"
 KIND_FANO = "FANO"
@@ -62,12 +61,10 @@ def involution_block(t: NikulinTriple) -> BuildingBlock:
 
     The fixed-point-free class (10,10,0) admits no such block (the
     quotient is an Enriques surface, not a rational surface with a
-    suitable pencil) and is rejected.
+    suitable pencil): asking for one is misuse and raises ``ValueError``.
     """
     if fixed_locus(t).kind == EMPTY:
-        raise LatticeError(
-            "class (10,10,0) acts freely and produces no building block"
-        )
+        raise ValueError("class (10,10,0) acts freely and produces no building block")
     return BuildingBlock(
         kind=KIND_INVOLUTION,
         label=f"involution({t.r},{t.a},{t.delta})",
@@ -142,16 +139,14 @@ def euler_crosscheck(t: NikulinTriple) -> EulerCheck:
     curves) and Euler characteristic e = 24 + 3 * (total Euler number of
     the fixed curves); then h12 = 1 + h11 - e/2.  These must match the
     ``b2_bar`` and ``b3_bar / 2`` of ``involution_block(t)``, the block
-    that the enumerator glues.
+    that the enumerator glues; building it first rejects (10,10,0).
     """
+    block = involution_block(t)
     locus = fixed_locus(t)
-    if locus.kind == EMPTY:
-        raise LatticeError("class (10,10,0) has no fixed curves to cross-check")
     curves = locus.curve_count
     euler = locus.euler_sum
     h11 = t.r + 1 + 2 * curves
     h12 = 1 + h11 - (24 + 3 * euler) // 2
-    block = involution_block(t)
     return EulerCheck(
         curve_count=curves,
         euler_sum=euler,

@@ -573,7 +573,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = _COMMANDS[args.command](args, nikulin, fano, joyce)
         sys.stdout.flush()  # a write error surfaces here, not at interpreter exit
         return code
-    except (CatalogError, IdentityError) as exc:
+    except IdentityError as exc:
         print(f"g2sum: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -23,7 +23,7 @@ from typing import Final, NamedTuple
 
 from .building_blocks import BuildingBlock
 from .catalog import EMPTY, fixed_locus, mirror_key
-from .lattice_core import LatticeError, parse_lattice_expr
+from .lattice_core import parse_lattice_expr
 
 SUFFICIENT: Final = "SUFFICIENT"
 SUFFICIENT_UNIQUE: Final = "SUFFICIENT_UNIQUE"
@@ -100,20 +100,20 @@ def matching_condition(b1: BuildingBlock, b2: BuildingBlock) -> MatchCertificate
     Condition A holds when the pair passes the numeric criterion of the
     module docstring (l bounded per block kind), or when the mirror-pair
     or large-rank rule fires.  Condition B is the rank bound
-    max(r1, r2) <= 10.  Blocks of the fixed-point-free non-symplectic
-    class (10,10,0) are rejected.
+    max(r1, r2) <= 10.  Misuse raises ``ValueError``: a block of the free
+    class (10,10,0), a pair of rank 0, or l(N) above rk N.
     """
     for b in (b1, b2):
         if b.triple is not None and fixed_locus(b.triple).kind == EMPTY:
-            raise LatticeError(
+            raise ValueError(
                 "non-symplectic type (10,10,0) admits no building block (empty fixed locus)"
             )
     rk = b1.rank + b2.rank
     l = b1.l_bound + b2.l_bound
     if rk < 1:
-        raise LatticeError("embedded lattice must have positive rank")
+        raise ValueError("embedded lattice must have positive rank")
     if l > rk:
-        raise LatticeError(f"l(N) = {l} cannot exceed rk N = {rk}")
+        raise ValueError(f"l(N) = {l} cannot exceed rk N = {rk}")
     size = rk + l
     # The sum of the two (1, r - 1) lattices has signature (2, rk - 2).
     if 2 <= _AMBIENT_SIG.t_plus and rk - 2 <= _AMBIENT_SIG.t_minus and size < _AMBIENT_RANK:

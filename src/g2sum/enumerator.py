@@ -23,7 +23,9 @@ the gluing ambient 2*E8(-1) + 2*U, which is 20 (``embedding._AMBIENT_RANK``).
                   satisfy b3 = 3 b2 + 23;
 * ``SEQ``         the quartic block against every pool block, size below 20;
 * ``LARGE_RANK``  (18,0,0) and (17,1,1) against every rank-1 block: the
-                  rank-1 Fano families, the (1,1,1) class and the quartic.
+                  rank-1 Fano families, the (1,1,1) class and the quartic;
+                  like ``MIRROR``, it pairs only the classes the catalog
+                  holds, so a catalog without an anchor yields fewer pairs.
 
 A pair's outcome (its certificate, ``glue_betti`` result and identity
 checks) reads only each block's kind, lattice class
@@ -88,7 +90,6 @@ from .building_blocks import (
 )
 from .catalog import (
     EMPTY,
-    CatalogError,
     FanoCatalog,
     FanoFamily,
     JoyceCatalog,
@@ -245,11 +246,8 @@ def _census(
             return [(by_key[t1.key], by_key[t2.key]) for t1, t2 in mirror_pairs(nikulin)]
         if space != LARGE_RANK:
             raise ValueError(f"unknown pair-space {space!r}")
-        for key in (*LARGE_RANK_ANCHORS, (1, 1, 1)):
-            if key not in by_key:
-                raise CatalogError(f"large-rank enumeration needs triple {key} in the catalog")
         partners = [h for h in (*groups, quartic) if h[0].block.rank == 1]
-        return [(by_key[key], h) for key in LARGE_RANK_ANCHORS for h in partners]
+        return [(by_key[key], h) for key in LARGE_RANK_ANCHORS if key in by_key for h in partners]
 
     # A class's outcome is decided from the first member of each group.  A
     # certificate reads only the two lattice classes, and its value not

@@ -12,7 +12,6 @@ family copied under a fresh id, and synthetic Fano rows at the numeric
 spaces' admission edge.
 """
 
-import re
 from collections import Counter
 
 import pytest
@@ -28,7 +27,6 @@ from g2sum.building_blocks import (
 )
 from g2sum.catalog import (
     EMPTY,
-    CatalogError,
     FanoCatalog,
     FanoFamily,
     JoyceCatalog,
@@ -56,8 +54,9 @@ from g2sum.enumerator import (
     enumerate_seq,
 )
 
-# The triples the large-rank pairs need, in the order their absence is reported.
-LARGE_RANK_NEEDS = ((18, 0, 0), (17, 1, 1), (1, 1, 1))
+# The triples the large-rank pairs read: the two anchors, then the rank-one
+# class that pairs with them.
+LARGE_RANK_TRIPLES = ((18, 0, 0), (17, 1, 1), (1, 1, 1))
 EMB = (EMB_A, EMB_B, EMB_C)
 CLAUSES = {
     (KIND_FANO, KIND_FANO): EMB_A,
@@ -88,13 +87,14 @@ def oracle(fano, nikulin):
         ],
         SEQ: [(SEQ, quartic, q) for q in blocks if size(quartic) + size(q) < 20],
     }
-    if all(nikulin.find(*key) is not None for key in LARGE_RANK_NEEDS):
-        spaces[LARGE_RANK] = [
-            (LARGE_RANK, involution_block(nikulin.find(*key)), q)
-            for key in LARGE_RANK_NEEDS[:2]
-            for q in blocks + [quartic]
-            if q.rank == 1
-        ]
+    # Each anchor the catalog holds, against every rank-one block.
+    spaces[LARGE_RANK] = [
+        (LARGE_RANK, involution_block(nikulin.find(*key)), q)
+        for key in LARGE_RANK_TRIPLES[:2]
+        if nikulin.find(*key) is not None
+        for q in blocks + [quartic]
+        if q.rank == 1
+    ]
     return {
         space: sorted(
             (
@@ -139,13 +139,13 @@ def sub_catalogs(draw, fano, nikulin):
     if needs != "as drawn":
         missing = {
             "all": (),
-            "none": LARGE_RANK_NEEDS,
-            "one missing": (draw(st.sampled_from(LARGE_RANK_NEEDS)),),
+            "none": LARGE_RANK_TRIPLES,
+            "one missing": (draw(st.sampled_from(LARGE_RANK_TRIPLES)),),
         }[needs]
         keep = [
             t
             for t in nikulin
-            if t.key not in missing and (t in keep or t.key in LARGE_RANK_NEEDS)
+            if t.key not in missing and (t in keep or t.key in LARGE_RANK_TRIPLES)
         ]
     return (
         FanoCatalog(tuple(families), complete_rank_1=False),
@@ -162,15 +162,8 @@ def sub_catalogs(draw, fano, nikulin):
 def test_census_and_records_match_the_all_pairs_oracle(fano, nikulin, data):
     fano_cat, nikulin_cat = data.draw(sub_catalogs(fano, nikulin))
     expected = oracle(fano_cat, nikulin_cat)
+    # Every sub-catalog yields a census of every space, however thin.
     spaces = (*EMB, MIRROR, SEQ, LARGE_RANK)
-    missing = [key for key in LARGE_RANK_NEEDS if nikulin_cat.find(*key) is None]
-    if missing:
-        message = re.escape(f"large-rank enumeration needs triple {missing[0]} in the catalog")
-        with pytest.raises(CatalogError, match=message):
-            _census(fano_cat, nikulin_cat, spaces)
-        with pytest.raises(CatalogError, match=message):
-            enumerate_large_rank(fano_cat, nikulin_cat)
-        spaces = spaces[:-1]
     census = _census(fano_cat, nikulin_cat, spaces)
     # One list: each space's classes, in the order the spaces are given.
     modes = [c.mode for c in census]
@@ -277,13 +270,9 @@ def test_record_order_follows_catalog_row_order(fano, nikulin, packaged_classes)
 @given(data=st.data())
 def test_dropping_rows_only_drops_pairs(fano, nikulin, packaged_classes, data):
     fano_cat, nikulin_cat = data.draw(sub_catalogs(fano, nikulin))
-    spaces = ALL
-    if any(nikulin_cat.find(*key) is None for key in LARGE_RANK_NEEDS):
-        spaces = ALL[:-1]
-    full = [c for c in packaged_classes if c.mode in spaces]
-    fewer = _census(fano_cat, nikulin_cat, spaces)
-    assert unordered_pairs(fewer) <= unordered_pairs(full)
-    assert set(distinct_betti(fewer)) <= set(distinct_betti(full))
+    fewer = _census(fano_cat, nikulin_cat, ALL)
+    assert unordered_pairs(fewer) <= unordered_pairs(packaged_classes)
+    assert set(distinct_betti(fewer)) <= set(distinct_betti(packaged_classes))
 
 
 @METAMORPHIC

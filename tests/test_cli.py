@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from g2sum.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from g2sum.cli import _MODE_SPACES, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from g2sum.enumerator import (
     enumerate_emb,
     enumerate_large_rank,
@@ -893,11 +893,41 @@ def test_main_runs_without_cyclic_gc_and_restores_it(monkeypatch, capsys, collec
     assert len(capsys.readouterr().out.splitlines()) == 12
 
 
-def test_main_restores_gc_after_a_failed_command(tmp_path, capsys, collector):
-    # The large-rank pairs need (18,0,0); its absence is a CatalogError raised
-    # by the command, not by loading.
-    small = tmp_path / "nik.csv"
-    small.write_text("r,a,delta,source\n1,1,1,x\n2,2,0,y\n")
-    assert main(["betti-list", "large_rank", "--nikulin", str(small)]) == EXIT_VALIDATION
+def test_main_restores_gc_after_a_failed_command(monkeypatch, capsys, collector):
+    # Once the catalogs load, only an identity failure fails a command.
+    import g2sum.cli as cli
+    from g2sum.enumerator import IdentityError
+
+    def planted(*_catalogs_and_spaces):
+        raise IdentityError("planted identity failure")
+
+    monkeypatch.setattr(cli, "_census", planted)
+    assert main(["betti-list", "large_rank"]) == EXIT_VALIDATION
     assert gc.isenabled() is collector
-    assert "needs triple (18, 0, 0)" in capsys.readouterr().err
+    assert "g2sum: planted identity failure" in capsys.readouterr().err
+
+
+# A catalog that loads never fails a command: a thin --nikulin file yields
+# the pairs it admits, under a banner that marks it INCOMPLETE.
+THIN_NIKULIN = {
+    "header-only": "r,a,delta,source\n",
+    "anchors-only": "r,a,delta,source\n17,1,1,2*E8(-1) + <2>\n18,0,0,U + 2*E8(-1)\n",
+}
+THIN_COMMANDS = [
+    ("validate",),
+    ("table1",),
+    ("crosscheck",),
+    *((command, mode) for command in ("enumerate", "betti-list") for mode in _MODE_SPACES),
+]
+
+
+@pytest.mark.parametrize("catalog", sorted(THIN_NIKULIN))
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("argv", THIN_COMMANDS, ids=" ".join)
+def test_thin_catalog_never_fails_a_command(tmp_path, capsys, catalog, fmt, argv):
+    thin = tmp_path / "nik.csv"
+    thin.write_text(THIN_NIKULIN[catalog])
+    code, _, err = run_cli(capsys, *argv, "--nikulin", str(thin), "--format", fmt)
+    assert code == EXIT_OK, err
+    rows = THIN_NIKULIN[catalog].count("\n") - 1
+    assert f"# data: nikulin {rows} rows (INCOMPLETE);" in err

@@ -24,7 +24,6 @@ from g2sum.embedding import (
     SUFFICIENT_UNIQUE,
     matching_condition,
 )
-from g2sum.lattice_core import LatticeError
 import g2sum.embedding as embedding_mod
 
 
@@ -60,10 +59,12 @@ def test_plain_sufficient_band():
 
 
 def test_nikulin_sufficient_input_validation():
-    with pytest.raises(LatticeError, match="positive rank"):
+    with pytest.raises(ValueError, match="positive rank") as exc:
         _numeric((0, 0), (0, 0))
-    with pytest.raises(LatticeError, match=r"^l\(N\) = 3 cannot exceed rk N = 2$"):
+    assert type(exc.value) is ValueError  # misuse, not a Gram-matrix LatticeError
+    with pytest.raises(ValueError, match=r"^l\(N\) = 3 cannot exceed rk N = 2$") as exc:
         _numeric((1, 1), (1, 2))
+    assert type(exc.value) is ValueError
 
 
 def test_nikulin_sufficient_monotone_in_l():
@@ -141,11 +142,16 @@ def test_cond_b_only_pair(nikulin):
 
 
 def test_matching_symmetry(nikulin, fano):
-    blocks = [involution_block(t) for t in list(nikulin.triples)[:12] if t.key != (10, 10, 0)]
-    blocks += [fano_block(f) for f in list(fano.families)[:8]]
-    for i, a in enumerate(blocks):
-        for b in blocks[i:]:
-            assert matching_condition(a, b).condition == matching_condition(b, a).condition
+    # The census decides one certificate per unordered pair of lattice
+    # classes, which is sound only if the whole certificate (condition,
+    # status and rule) ignores the order of the pair, over the whole pool.
+    pool = _pool(fano, nikulin)
+    pairs = [(a, b) for i, a in enumerate(pool) for b in pool[i:]]
+    assert len(pairs) == 16290
+    asymmetric = [
+        (a.label, b.label) for a, b in pairs if matching_condition(a, b) != matching_condition(b, a)
+    ]
+    assert asymmetric == []
 
 
 def test_all_mirror_pairs_satisfy_condition_a(nikulin):
@@ -167,8 +173,9 @@ def test_fixed_point_free_block_rejected():
         l_bound=10,
         triple=NikulinTriple(10, 10, 0),
     )
-    with pytest.raises(LatticeError, match=r"\(10,10,0\)"):
+    with pytest.raises(ValueError, match=r"\(10,10,0\)") as exc:
         matching_condition(ghost, ghost)
+    assert type(exc.value) is ValueError
 
 
 def _pool(fano, nikulin):

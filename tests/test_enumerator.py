@@ -225,15 +225,26 @@ def test_large_rank_census(nikulin, fano):
     assert sorted(rows) == [18, 20, 21, 22, 23]
 
 
-def test_large_rank_requires_anchor_triples(fano, nikulin):
-    from g2sum.catalog import CatalogError, NikulinCatalog
-
-    thin = NikulinCatalog(
-        triples=tuple(t for t in nikulin.triples if t.key != (18, 0, 0)),
-        complete=False,
-    )
-    with pytest.raises(CatalogError, match=r"needs triple \(18, 0, 0\)"):
-        enumerate_large_rank(fano, thin)
+@pytest.mark.parametrize(
+    "dropped,count",
+    [
+        ((), 38),
+        (((1, 1, 1),), 36),
+        (((18, 0, 0),), 19),
+        (((17, 1, 1),), 19),
+        (((18, 0, 0), (17, 1, 1)), 0),
+    ],
+    ids=["all", "no-1-1-1", "no-18-0-0", "no-17-1-1", "no-anchor"],
+)
+def test_large_rank_pairs_the_anchors_present(fano, nikulin, dropped, count):
+    # Like the mirror pairs, a thin catalog yields the pairs it admits: each
+    # anchor it holds against the rank-one blocks it holds.
+    thin = NikulinCatalog(tuple(t for t in nikulin if t.key not in dropped), complete=False)
+    records = enumerate_large_rank(fano, thin)
+    assert len(records) == count
+    anchors = {r.blocks[0].triple.key for r in records}
+    assert anchors == {(18, 0, 0), (17, 1, 1)} - set(dropped)
+    assert all(r.blocks[1].rank == 1 for r in records)
 
 
 # --- blow-up sequence mode --------------------------------------------------------

@@ -1,5 +1,6 @@
 """The public names of the package: each resolves, and removed ones stay gone."""
 
+import ast
 from pathlib import Path
 
 import g2sum
@@ -93,3 +94,17 @@ def test_every_name_the_benchmark_tracer_patches_resolves(monkeypatch):
         tracer.unpatch()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, attr
+
+
+def test_each_package_error_has_one_raising_module():
+    # Bad catalog data is found only while loading, and only the lattice
+    # engine raises its Gram-matrix error; misuse elsewhere is a ValueError.
+    owners = {"CatalogError": "catalog.py", "LatticeError": "lattice_core.py"}
+    raised = set()
+    for path in Path(g2sum.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in owners:
+                    raised.add((exc.id, path.name))
+    assert raised == set(owners.items())
