@@ -8,6 +8,12 @@ elimination, computed once per lattice, and discriminant groups via the
 integer Smith normal form with unimodular transforms tracked.  No floating
 point and no rationals anywhere.
 
+A Gram matrix is checked once, where it comes in from a caller:
+``IntLattice(gram)`` rejects a non-integer entry, an empty, non-square or
+asymmetric matrix.  ``rescale`` checks its factor.  The lattices the engine
+builds from parts it has already checked (the terms of an expression, a
+rescaled lattice, a direct sum) are not checked again.
+
 A lattice built by ``direct_sum`` (every parsed expression) is never
 eliminated itself: its signature is the sum and its determinant the
 product of its summands', each summand object eliminated once.  Its Smith
@@ -107,8 +113,10 @@ class IntLattice(Frozen, ignore=("_smith", "_pivots")):
     """A nondegenerate integer lattice given by its Gram matrix.
 
     Entries must be integers (anything ``operator.index`` accepts); floats
-    and strings are rejected, never truncated.  Equality and hash read the
-    Gram matrix only, not the cached Smith form or elimination.
+    and strings are rejected, never truncated.  This constructor, for caller
+    data, is the one that checks a Gram matrix; the engine builds the
+    lattices it derives with :meth:`_from_checked`.  Equality and hash read
+    the Gram matrix only, not the cached Smith form or elimination.
 
     >>> IntLattice([[0, 1], [1, 0]]).signature()
     Signature(t_plus=1, t_minus=1)
@@ -136,6 +144,20 @@ class IntLattice(Frozen, ignore=("_smith", "_pivots")):
             )
         self._fill(frozen, None, None)
 
+    @classmethod
+    def _from_checked(
+        cls, gram: Matrix, pivots: tuple[int, int, int] | None = None
+    ) -> IntLattice:
+        """A lattice on a Gram matrix built from parts that were checked.
+
+        ``gram`` must be a nonempty square symmetric tuple of tuples of
+        ``int``, as its construction guarantees; nothing is checked again.
+        ``pivots`` goes into the ``_pivots`` slot.
+        """
+        lattice = object.__new__(cls)
+        lattice._fill(gram, None, pivots)
+        return lattice
+
     @property
     def rank(self) -> int:
         return len(self.gram)
@@ -145,10 +167,14 @@ class IntLattice(Frozen, ignore=("_smith", "_pivots")):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def rescale(self, k: int) -> "IntLattice":
-        """The same module with the form multiplied by ``k`` (nonzero)."""
+        """The same module with the form multiplied by ``k`` (a nonzero integer)."""
+        try:
+            k = index(k)
+        except TypeError:
+            raise LatticeError(f"rescale factor must be an integer, got {k!r}") from None
         if k == 0:
             raise LatticeError("rescale factor must be nonzero")
-        return IntLattice(tuple(tuple(k * x for x in row) for row in self.gram))
+        return IntLattice._from_checked(tuple([tuple([k * x for x in row]) for row in self.gram]))
 
     def determinant(self) -> int:
         """Exact determinant: the last pivot ``D_n`` of :meth:`_eliminate`."""
@@ -310,49 +336,47 @@ class IntLattice(Frozen, ignore=("_smith", "_pivots")):
     def discriminant(self) -> DiscriminantInfo:
         """Invariant factors, group order, l, 2-elementarity and delta.
 
-        Requires an even nondegenerate lattice.  Reads the lattice's one
-        Smith decomposition.  delta is computed only for 2-elementary
-        discriminant groups, from the ``l`` generator squares (see
-        :meth:`_delta_2_elementary`); it is ``None`` ("undefined")
-        otherwise.
+        Requires an even nondegenerate lattice.  Reads the diagonal of the
+        lattice's one Smith decomposition once.  By the divisibility chain
+        its last nontrivial entry decides the rest: 0 means a degenerate
+        form, and 2 means every nontrivial entry is 2, so the group is
+        2-elementary and its generators sit over the last ``l`` columns of
+        V.  delta is computed only then (see :meth:`_delta_2_elementary`);
+        it is ``None`` ("undefined") otherwise.
         """
         if not self.is_even():
             raise LatticeError("discriminant data is defined here for even lattices only")
         snf = self.smith_normal_form()
-        diag = snf.diagonal
-        if any(s == 0 for s in diag):
+        factors = tuple([d for i, row in enumerate(snf.S) if (d := row[i]) != 1])
+        l = len(factors)
+        if l and not factors[-1]:
             raise LatticeError("degenerate Gram matrix has no discriminant group")
-        factors = snf.invariant_factors
-        order = prod(factors) if factors else 1
-        is_2_elementary = all(f == 2 for f in factors)
-        delta: int | None = None
-        if is_2_elementary:
-            delta = self._delta_2_elementary(snf)
+        is_2_elementary = not l or factors[-1] == 2
         return DiscriminantInfo(
             invariant_factors=factors,
-            order=order,
-            l=len(factors),
+            order=prod(factors),
+            l=l,
             is_2_elementary=is_2_elementary,
-            delta=delta,
+            delta=self._delta_2_elementary(snf.V, self.rank - l) if is_2_elementary else None,
         )
 
-    def _delta_2_elementary(self, snf: SmithDecomposition) -> int:
+    def _delta_2_elementary(self, v: Matrix, first: int) -> int:
         """Parity invariant for a (Z/2)^l discriminant group.
 
         The dual lattice is spanned over the lattice by the generators
-        ``t_i = w_i/2``, ``w_i`` the columns of V sitting over invariant
-        factor 2.  Since ``2*t_i`` lies in the lattice, ``2*b(t_i, t_j)`` is
-        an integer, so ``(sum t_i)^2 = sum t_i^2 (mod Z)``: every dual
-        square is integral iff every generator square is, i.e. iff each
-        ``w_i·gram·w_i`` is divisible by 4.  That is ``l`` quadratic forms,
-        O(l·n²), with no subset scan.
+        ``t_i = w_i/2``, ``w_i`` the columns ``first, ..., rank - 1`` of V,
+        which sit over invariant factor 2.  Since ``2*t_i`` lies in the
+        lattice, ``2*b(t_i, t_j)`` is an integer, so ``(sum t_i)^2 = sum
+        t_i^2 (mod Z)``: every dual square is integral iff every generator
+        square is, i.e. iff each ``w_i·gram·w_i`` is divisible by 4.  That
+        is ``l`` quadratic forms, O(l·n²), with no subset scan; the first
+        square not divisible by 4 ends it.
         """
-        for i, d in enumerate(snf.diagonal):
-            if d == 2:
-                w = [row[i] for row in snf.V]
-                square = sum(x * sum(map(mul, row, w)) for x, row in zip(w, self.gram) if x)
-                if square % 4:
-                    return 1
+        for i in range(first, self.rank):
+            w = [row[i] for row in v]
+            square = sum(x * sum(map(mul, row, w)) for x, row in zip(w, self.gram) if x)
+            if square % 4:
+                return 1
         return 0
 
 
@@ -380,12 +404,10 @@ def direct_sum(first: IntLattice, *rest: IntLattice) -> IntLattice:
         left, right = zeros[:offset], zeros[end:]
         rows += [left + row + right for row in part.gram]
         offset = end
-    lattice = IntLattice(rows)
-    object.__setattr__(lattice, "_pivots", (plus, minus, det))
-    return lattice
+    return IntLattice._from_checked(tuple(rows), (plus, minus, det))
 
 
-def _tree_gram(arms: tuple[int, ...]) -> list[list[int]]:
+def _tree_gram(arms: tuple[int, ...]) -> Matrix:
     """Positive definite Gram of the simply-laced Dynkin tree with the
     given arm lengths hanging off one central node."""
     n = 1 + sum(arms)
@@ -399,7 +421,7 @@ def _tree_gram(arms: tuple[int, ...]) -> list[list[int]]:
             g[prev][idx] = g[idx][prev] = -1
             prev = idx
             idx += 1
-    return g
+    return tuple(map(tuple, g))
 
 
 _EXPR_TERM = re.compile(
@@ -434,7 +456,7 @@ def _expr_terms(text: str) -> Iterator[IntLattice]:
             if n < 3:
                 raise LatticeError(f"D{n} is not a valid root lattice here (need n >= 3)")
             gram = _tree_gram((1, 1, n - 3))
-        base = IntLattice(gram)
+        base = IntLattice._from_checked(gram)
         if scale is not None:
             base = base.rescale(int(scale))
         count = int(count or 1)

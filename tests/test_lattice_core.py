@@ -173,8 +173,16 @@ def test_rescale():
     assert parse_lattice_expr("U").rescale(2).gram == ((0, 2), (2, 0))
     assert parse_lattice_expr("E8(-1)").rescale(-1).signature() == Signature(8, 0)
     assert A2.rescale(3).determinant() == 3**2 * 3
+    assert A2.rescale(True) == A2
+    assert A2.rescale(2**70).gram == ((2**71, 2**70), (2**70, 2**71))
     with pytest.raises(LatticeError, match="nonzero"):
         A2.rescale(0)
+
+
+@pytest.mark.parametrize("k", [2.5, "2", None, 2.0], ids=["float", "str", "None", "integral float"])
+def test_rescale_rejects_a_non_integer_factor(k):
+    with pytest.raises(LatticeError, match="rescale factor must be an integer"):
+        A2.rescale(k)
 
 
 def test_direct_sum():

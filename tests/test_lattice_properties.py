@@ -8,6 +8,7 @@ dual coset representatives, and (when sympy is installed) sympy's
 invariant factors.  The Smith transforms themselves are pinned by hash.
 """
 
+import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -396,6 +397,52 @@ def test_delta_matches_subset_scan_on_direct_sums(terms):
         assert info.delta is None
 
 
+nonzero_factors = st.integers(-3, 3).filter(bool) | st.sampled_from((True, 2**70))
+
+
+@functools.cache
+def battery_grams():
+    return tuple(lat.gram for lat, _ in battery_500())
+
+
+@st.composite
+def engine_built_lattices(draw):
+    """A lattice the engine builds from checked parts without a second check.
+
+    Either a parsed expression over ``DELTA_TERMS`` with multiplicities and
+    ``(s)`` suffixes, or a direct sum of battery lattices; then maybe
+    rescaled.
+    """
+    if draw(st.booleans()):
+        terms = []
+        for term in draw(st.lists(st.sampled_from(DELTA_TERMS), min_size=1, max_size=4)):
+            if "(" not in term and term[0] != "<" and draw(st.booleans()):
+                term += f"({draw(st.integers(-3, 3).filter(bool))})"
+            count = draw(st.integers(1, 2))
+            terms.append(f"{count}*{term}" if count > 1 else term)
+        lat = parse_lattice_expr(" + ".join(terms))
+    else:
+        grams = draw(st.lists(st.sampled_from(battery_grams()), min_size=1, max_size=3))
+        lat = direct_sum(*map(IntLattice, grams))
+    if draw(st.booleans()):
+        lat = lat.rescale(draw(nonzero_factors))
+    return lat
+
+
+@given(engine_built_lattices())
+@settings(max_examples=150)
+def test_engine_built_grams_pass_the_caller_checks(lat):
+    gram = lat.gram
+    assert type(gram) is tuple and gram
+    assert all(type(row) is tuple and len(row) == len(gram) for row in gram)
+    assert all(type(x) is int for row in gram for x in row)
+    assert gram == tuple(zip(*gram))
+    checked = IntLattice(gram)
+    assert checked == lat
+    assert checked.signature() == lat.signature()
+    assert checked.determinant() == lat.determinant()
+
+
 def test_invariant_factors_match_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
@@ -419,3 +466,15 @@ def test_smith_transforms_pinned():
     )
     assert len(lattices) == 575
     assert hashlib.sha256(text.encode()).hexdigest() == SMITH_TRANSFORMS_SHA256
+
+
+# SHA-256 of the repr of ``discriminant()`` for the same 575 lattices, one
+# line each.  A faster ``discriminant`` must leave this hash as it is.
+DISCRIMINANTS_SHA256 = "c6418af1b927b25346708de8a64bf57871eddf80da5cc4a0b9ee3625ae13e0cb"
+
+
+def test_discriminants_pinned():
+    lattices = catalog_models() + [lat for lat, _ in battery_500()]
+    text = "\n".join(repr(lat.discriminant()) for lat in lattices)
+    assert len(lattices) == 575
+    assert hashlib.sha256(text.encode()).hexdigest() == DISCRIMINANTS_SHA256
