@@ -426,9 +426,8 @@ def _cmd_validate(
     nikulin: NikulinCatalog,
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
-) -> int:
+) -> None:
     _write_rows(_statuses(nikulin, fano, joyce), ("catalog", "rows", "status"), args.format)
-    return EXIT_OK
 
 
 def _cmd_enumerate(
@@ -436,7 +435,7 @@ def _cmd_enumerate(
     nikulin: NikulinCatalog,
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
-) -> int:
+) -> None:
     classes = _census(fano, nikulin, _MODE_SPACES[args.mode])
     order, entries = _record_order(classes)
     # Every pair glues with n = 0 from simply connected blocks and keeps the
@@ -453,7 +452,6 @@ def _cmd_enumerate(
         ({e.order: (e.block.label, True, ()) for e in entries}, [q.order for _, _, q in order]),
     ]
     _write_positions(positions, _RECORD_FIELDS, args.format)
-    return EXIT_OK
 
 
 def _cmd_betti_list(
@@ -461,10 +459,9 @@ def _cmd_betti_list(
     nikulin: NikulinCatalog,
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
-) -> int:
+) -> None:
     classes = _census(fano, nikulin, _MODE_SPACES[args.mode])
     _write_rows(distinct_betti(classes), ("b2", "b3"), args.format)
-    return EXIT_OK
 
 
 def _cmd_table1(
@@ -472,7 +469,7 @@ def _cmd_table1(
     nikulin: NikulinCatalog,
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
-) -> int:
+) -> None:
     b3_values: dict[int, list[int]] = {}
     for b2, b3 in distinct_betti(_census(fano, nikulin, _MODE_SPACES["emb"])):
         b3_values.setdefault(b2, []).append(b3)
@@ -481,7 +478,6 @@ def _cmd_table1(
         values = tuple(b3_values.get(b2, ()))
         rows.append((b2, len(values), values))
     _write_rows(rows, ("b2", "count", "b3_values"), args.format)
-    return EXIT_OK
 
 
 def _cmd_crosscheck(
@@ -489,7 +485,7 @@ def _cmd_crosscheck(
     nikulin: NikulinCatalog,
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
-) -> int:
+) -> None:
     involutions = [t for t in nikulin if fixed_locus(t).kind != EMPTY]
     for t in involutions:
         result = euler_crosscheck(t)
@@ -538,7 +534,6 @@ def _cmd_crosscheck(
         )
 
     _write_rows(rows, ("check", "items", "status"), args.format)
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -570,9 +565,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        code = _COMMANDS[args.command](args, nikulin, fano, joyce)
+        _COMMANDS[args.command](args, nikulin, fano, joyce)
         sys.stdout.flush()  # a write error surfaces here, not at interpreter exit
-        return code
+        return EXIT_OK
     except IdentityError as exc:
         print(f"g2sum: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

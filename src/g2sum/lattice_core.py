@@ -19,16 +19,17 @@ eliminated itself: its signature is the sum and its determinant the
 product of its summands', each summand object eliminated once.  Its Smith
 form is still computed on its whole Gram matrix.
 
-Lattices are named by direct-sum expressions (:func:`parse_lattice_expr`):
-``term (+ term)*``, where a term is an optional positive multiplicity
-``n*`` followed by ``U`` (or ``H``), the hyperbolic plane
-``[[0, 1], [1, 0]]``; a positive definite root lattice ``A1``, ``Dn``
-(n >= 3), ``E7`` or ``E8``; or ``<k>``, the rank-one lattice spanned by a
-vector of square ``k`` (even and nonzero, so the lattice is even).  ``U``
-and the root lattices take an optional rescale suffix ``(s)``.  Every
-number is written in ASCII digits.  So
-``E8(-1)`` is the negative definite even unimodular rank-8 lattice, and
-the K3 lattice is ``2*E8(-1) + 3*U``: rank 22, signature (3, 19).
+Lattices are named by direct-sum expressions (:func:`parse_lattice_expr`)
+in Nikulin's notation: ``term (+ term)*``, where a term is an optional
+positive multiplicity ``n*`` followed by ``U``, the hyperbolic plane
+``[[0, 1], [1, 0]]``; a positive definite root lattice ``Dn`` (n >= 3),
+``E7`` or ``E8``; or ``<k>``, the rank-one lattice spanned by a vector of
+square ``k`` (even and nonzero, so the lattice is even).  ``U`` and the
+root lattices take an optional rescale suffix ``(s)``.  Every number is
+written in ASCII digits, at most as many as ``int`` converts
+(``sys.get_int_max_str_digits()``, 4300 by default).  So ``E8(-1)`` is
+the negative definite even unimodular rank-8 lattice, and the K3 lattice
+is ``2*E8(-1) + 3*U``: rank 22, signature (3, 19).
 
 The discriminant group of a nondegenerate lattice ``N`` is the finite
 abelian group ``N*/N``; its order is ``|det gram|`` and its minimal number
@@ -47,6 +48,7 @@ DiscriminantInfo(invariant_factors=(2,), order=2, l=1, is_2_elementary=True, del
 from __future__ import annotations
 
 import re
+import sys
 from math import prod
 from operator import index, mul
 from typing import Iterator, NamedTuple, Sequence
@@ -84,15 +86,6 @@ class SmithDecomposition(NamedTuple):
     U: Matrix
     S: Matrix
     V: Matrix
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.S[i][i] for i in range(len(self.S)))
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Nontrivial invariant factors (entries equal to 1 dropped)."""
-        return tuple(s for s in self.diagonal if s != 1)
 
 
 class DiscriminantInfo(NamedTuple):
@@ -425,8 +418,15 @@ def _tree_gram(arms: tuple[int, ...]) -> Matrix:
 
 
 _EXPR_TERM = re.compile(
-    r"(?:(\d+)\*)?(?:<(-?\d+)>|(U|H|A1|E7|E8|D(\d+))(?:\((-?\d+)\))?)", re.ASCII
+    r"(?:(\d+)\*)?(?:<(-?\d+)>|(U|E7|E8|D(\d+))(?:\((-?\d+)\))?)", re.ASCII
 )
+
+
+def _expr_int(digits: str, slot: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than ``int`` converts
+        raise LatticeError(f"{slot} has over {sys.get_int_max_str_digits()} digits") from None
 
 
 def _expr_terms(text: str) -> Iterator[IntLattice]:
@@ -439,27 +439,25 @@ def _expr_terms(text: str) -> Iterator[IntLattice]:
             raise LatticeError(f"cannot parse lattice term {term!r}")
         count, square, name, d_rank, scale = m.groups()
         if square is not None:
-            k = int(square)
+            k = _expr_int(square, "rank-one square")
             if k == 0 or k % 2:
                 raise LatticeError(f"rank-one square must be even and nonzero, got {k}")
             gram = ((k,),)
-        elif name in ("U", "H"):
+        elif name == "U":
             gram = ((0, 1), (1, 0))
-        elif name == "A1":
-            gram = ((2,),)
         elif name == "E7":
             gram = _tree_gram((1, 2, 3))
         elif name == "E8":
             gram = _tree_gram((1, 2, 4))
         else:
-            n = int(d_rank)
+            n = _expr_int(d_rank, "D rank")
             if n < 3:
                 raise LatticeError(f"D{n} is not a valid root lattice here (need n >= 3)")
             gram = _tree_gram((1, 1, n - 3))
         base = IntLattice._from_checked(gram)
         if scale is not None:
-            base = base.rescale(int(scale))
-        count = int(count or 1)
+            base = base.rescale(_expr_int(scale, "rescale factor"))
+        count = _expr_int(count or "1", "multiplicity")
         if count < 1:
             raise LatticeError(f"term multiplicity must be positive in {term!r}")
         for _ in range(count):

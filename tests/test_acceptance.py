@@ -259,7 +259,7 @@ def test_criterion_10_engine_property_battery():
         checked += 1
     assert checked == 500
     assert parse_lattice_expr("2*E8(-1) + U").discriminant().delta == 0
-    assert parse_lattice_expr("2*E8(-1) + A1").discriminant().delta == 1
+    assert parse_lattice_expr("2*E8(-1) + <2>").discriminant().delta == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _passed("10", f"500 randomized Gram matrices verified in {elapsed:.2f}s")

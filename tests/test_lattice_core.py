@@ -1,6 +1,7 @@
 """Unit tests for the exact integer lattice engine."""
 
 import doctest
+import sys
 
 import pytest
 
@@ -106,7 +107,7 @@ def test_named_invariant_lattices():
     d = l18.discriminant()
     assert (d.l, d.is_2_elementary, d.delta) == (0, True, 0)
 
-    l17 = parse_lattice_expr("2*E8(-1) + A1")
+    l17 = parse_lattice_expr("2*E8(-1) + <2>")
     assert l17.rank == 17
     assert l17.signature() == Signature(1, 16)
     d = l17.discriminant()
@@ -203,7 +204,7 @@ def test_parse_lattice_expr():
     assert parse_lattice_expr("U(2)").gram == ((0, 2), (2, 0))
     assert parse_lattice_expr("<2> + 3*<-2>").rank == 4
     assert parse_lattice_expr("D12(-1)").determinant() == 4
-    assert parse_lattice_expr("H + A1").rank == 3
+    assert parse_lattice_expr("U + <2>").rank == 3
     mixed = parse_lattice_expr("U + D4(-1) + 7*<-2>")
     assert mixed.rank == 13
     d = mixed.discriminant()
@@ -215,6 +216,10 @@ def test_parse_lattice_expr_errors():
         parse_lattice_expr("")
     with pytest.raises(LatticeError, match="cannot parse"):
         parse_lattice_expr("U + Q7")
+    # U and <k> are the one spelling of each lattice: no H, no A1
+    for text in ("H", "A1", "A1(-1)"):
+        with pytest.raises(LatticeError, match="cannot parse"):
+            parse_lattice_expr(text)
     with pytest.raises(LatticeError, match="multiplicity"):
         parse_lattice_expr("0*E8")
     with pytest.raises(LatticeError, match="even and nonzero"):
@@ -233,6 +238,20 @@ def test_parse_lattice_expr_errors():
     for text in ("\u0662*U", "D\u0664", "<\u0664>", "U(\u0662)"):
         with pytest.raises(LatticeError, match="cannot parse"):
             parse_lattice_expr(text)
+    # a number with more digits than ``int`` converts names its slot; with
+    # no limit set, the multiplicity would build the lattice, so none is tried
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        long2, long1 = "2" * (limit + 1), "1" * (limit + 1)
+        for text, slot in (
+            (f"<{long2}>", "rank-one square"),
+            (f"{long2}*U", "multiplicity"),
+            (f"D{'3' * (limit + 1)}", "D rank"),
+            (f"U({long2})", "rescale factor"),
+            (f"E8(-{long1})", "rescale factor"),
+        ):
+            with pytest.raises(LatticeError, match=f"^{slot} has over {limit} digits$"):
+                parse_lattice_expr(text)
 
 
 def test_module_doctests_pass():
@@ -245,7 +264,7 @@ def test_smith_form_computed_once_per_lattice(monkeypatch):
     made = []
     identity = lattice_core._identity
     monkeypatch.setattr(lattice_core, "_identity", lambda n: made.append(n) or identity(n))
-    lat = parse_lattice_expr("U(2) + E7(-1) + A1")
+    lat = parse_lattice_expr("U(2) + E7(-1) + <2>")
     disc = lat.discriminant()
     snf = lat.smith_normal_form()
     assert lat.smith_normal_form() is snf
@@ -260,7 +279,7 @@ def _count_eliminations(monkeypatch):
     return runs
 
 
-SUMMANDS = ("U(2)", "E7(-1)", "A1", "3*<-2>")
+SUMMANDS = ("U(2)", "E7(-1)", "<2>", "3*<-2>")
 
 
 def _parse_counting_parts(monkeypatch):
