@@ -61,8 +61,8 @@ class MatchCertificate(NamedTuple):
         return self.condition in (COND_A, BOTH)
 
 
-# Signature and rank of 2*E8(-1) + 2*U, computed once at import: the sum of
-# its summands' signatures, one E8(-1) and one U elimination.
+# Signature and rank of 2*E8(-1) + 2*U, read once at import from the parse,
+# which sums its terms' signatures.
 _AMBIENT_SIG: Final = parse_lattice_expr("2*E8(-1) + 2*U").signature()
 _AMBIENT_RANK: Final = sum(_AMBIENT_SIG)
 

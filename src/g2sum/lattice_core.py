@@ -10,14 +10,14 @@ point and no rationals anywhere.
 
 A Gram matrix is checked once, where it comes in from a caller:
 ``IntLattice(gram)`` rejects a non-integer entry, an empty, non-square or
-asymmetric matrix.  ``rescale`` checks its factor.  The lattices the engine
-builds from parts it has already checked (the terms of an expression, a
-rescaled lattice, a direct sum) are not checked again.
+asymmetric matrix, and ``rescale`` checks its factor.  The lattices the
+engine builds from parts it has already checked (a parsed expression, a
+rescaled lattice) are not checked again.
 
-A lattice built by ``direct_sum`` (every parsed expression) is never
-eliminated itself: its signature is the sum and its determinant the
-product of its summands', each summand object eliminated once.  Its Smith
-form is still computed on its whole Gram matrix.
+A parsed expression is never eliminated: the signature of an orthogonal
+sum adds and its determinant multiplies over the terms, and each term's
+``(t_plus, t_minus, det)`` is read off the grammar.  Its Smith form is
+still computed on its whole Gram matrix.
 
 Lattices are named by direct-sum expressions (:func:`parse_lattice_expr`)
 in Nikulin's notation: ``term (+ term)*``, where a term is an optional
@@ -190,8 +190,8 @@ class IntLattice(Frozen, ignore=("_smith", "_pivots")):
 
         Runs on first use by :meth:`signature` or :meth:`determinant`; the
         result is kept in the ``_pivots`` slot, as the Smith form is in
-        ``_smith``.  A lattice made by :func:`direct_sum` never runs it:
-        its slot is filled from its summands' own runs.  Bareiss's rule:
+        ``_smith``.  A parsed lattice never runs it: :func:`parse_lattice_expr`
+        fills its slot from the grammar.  Bareiss's rule:
         with ``prev = D_k`` and pivot ``p = D_{k+1}``, the trailing entry
         (i, j) becomes ``(p * a[i][j] - a[i][0] * a[0][j]) // prev``, a
         bordered minor, so the division is exact.  The pivot is the first nonzero trailing
@@ -373,33 +373,6 @@ class IntLattice(Frozen, ignore=("_smith", "_pivots")):
         return 0
 
 
-def direct_sum(first: IntLattice, *rest: IntLattice) -> IntLattice:
-    """Block-diagonal sum; rank adds, determinant multiplies, signature adds.
-
-    The sum's ``_pivots`` slot is filled from its parts: ``(sum t_plus,
-    sum t_minus, prod det)``, each part's taken from its own cached
-    :meth:`IntLattice._eliminate`, so the sum's Gram matrix is never
-    eliminated and a part object that repeats (``2*E8(-1)``) is eliminated
-    once.  A degenerate part makes the product 0, and the sum degenerate.
-    """
-    parts = (first, *rest)
-    total = sum(p.rank for p in parts)
-    zeros = (0,) * total
-    rows: list[tuple[int, ...]] = []
-    offset = plus = minus = 0
-    det = 1
-    for part in parts:
-        t_plus, t_minus, part_det = part._pivots or part._eliminate()
-        plus += t_plus
-        minus += t_minus
-        det *= part_det
-        end = offset + part.rank
-        left, right = zeros[:offset], zeros[end:]
-        rows += [left + row + right for row in part.gram]
-        offset = end
-    return IntLattice._from_checked(tuple(rows), (plus, minus, det))
-
-
 def _tree_gram(arms: tuple[int, ...]) -> Matrix:
     """Positive definite Gram of the simply-laced Dynkin tree with the
     given arm lengths hanging off one central node."""
@@ -429,7 +402,13 @@ def _expr_int(digits: str, slot: str) -> int:
         raise LatticeError(f"{slot} has over {sys.get_int_max_str_digits()} digits") from None
 
 
-def _expr_terms(text: str) -> Iterator[IntLattice]:
+def _expr_terms(text: str) -> Iterator[tuple[Matrix, tuple[int, int, int], int]]:
+    """``(gram, (t_plus, t_minus, det), multiplicity)`` of each term of ``text``.
+
+    ``<k>`` has determinant k, ``U`` is (1, 1, -1), and ``Dn``, ``E7`` and
+    ``E8`` are positive definite of determinant 4, 2 and 1.  A rescale by s
+    multiplies the determinant by s^rank and swaps the counts when s < 0.
+    """
     for raw in text.split("+"):
         term = raw.strip()
         if not term:
@@ -439,36 +418,55 @@ def _expr_terms(text: str) -> Iterator[IntLattice]:
             raise LatticeError(f"cannot parse lattice term {term!r}")
         count, square, name, d_rank, scale = m.groups()
         if square is not None:
-            k = _expr_int(square, "rank-one square")
-            if k == 0 or k % 2:
-                raise LatticeError(f"rank-one square must be even and nonzero, got {k}")
-            gram = ((k,),)
+            det = _expr_int(square, "rank-one square")
+            if det == 0 or det % 2:
+                raise LatticeError(f"rank-one square must be even and nonzero, got {det}")
+            gram, neg = ((det,),), int(det < 0)
         elif name == "U":
-            gram = ((0, 1), (1, 0))
+            gram, neg, det = ((0, 1), (1, 0)), 1, -1
         elif name == "E7":
-            gram = _tree_gram((1, 2, 3))
+            gram, neg, det = _tree_gram((1, 2, 3)), 0, 2
         elif name == "E8":
-            gram = _tree_gram((1, 2, 4))
+            gram, neg, det = _tree_gram((1, 2, 4)), 0, 1
         else:
             n = _expr_int(d_rank, "D rank")
             if n < 3:
                 raise LatticeError(f"D{n} is not a valid root lattice here (need n >= 3)")
-            gram = _tree_gram((1, 1, n - 3))
-        base = IntLattice._from_checked(gram)
+            gram, neg, det = _tree_gram((1, 1, n - 3)), 0, 4
+        rank = len(gram)
         if scale is not None:
-            base = base.rescale(_expr_int(scale, "rescale factor"))
+            s = _expr_int(scale, "rescale factor")
+            if not s:
+                raise LatticeError("rescale factor must be nonzero")
+            gram = tuple([tuple([s * x for x in row]) for row in gram])
+            det *= s**rank
+            if s < 0:
+                neg = rank - neg
         count = _expr_int(count or "1", "multiplicity")
         if count < 1:
             raise LatticeError(f"term multiplicity must be positive in {term!r}")
-        for _ in range(count):
-            yield base
+        yield gram, (rank - neg, neg, det), count
 
 
 def parse_lattice_expr(text: str) -> IntLattice:
     """Build a lattice from a direct-sum expression (grammar: module docstring).
 
+    The block-diagonal Gram matrix is built once; its ``_pivots`` slot is
+    ``(sum t_plus, sum t_minus, prod det)`` over the terms.
+
     >>> parse_lattice_expr("U + 2*E8(-1)").signature()
     Signature(t_plus=1, t_minus=17)
     """
     terms = list(_expr_terms(text))
-    return direct_sum(*terms)
+    zeros = (0,) * sum(len(gram) * count for gram, _, count in terms)
+    rows: list[tuple[int, ...]] = []
+    plus = minus = 0
+    det = 1
+    for gram, (t_plus, t_minus, term_det), count in terms:
+        plus += count * t_plus
+        minus += count * t_minus
+        det *= term_det**count
+        for _ in range(count):
+            left, right = zeros[: len(rows)], zeros[len(rows) + len(gram) :]
+            rows += [left + row + right for row in gram]
+    return IntLattice._from_checked(tuple(rows), (plus, minus, det))

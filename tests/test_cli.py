@@ -886,9 +886,10 @@ def test_main_runs_without_cyclic_gc_and_restores_it(monkeypatch, capsys, collec
         return real(*catalogs_and_spaces)
 
     monkeypatch.setattr(cli, "_census", noting)
+    frozen = gc.get_freeze_count()  # CPython 3.12.1 starts with 375 frozen
     assert main(["betti-list", "mirror"]) == EXIT_OK
     assert gc.isenabled() is collector
-    assert gc.get_freeze_count() == 0  # only the process entry freezes
+    assert gc.get_freeze_count() == frozen  # only the process entry freezes
     assert seen == [False]
     assert len(capsys.readouterr().out.splitlines()) == 12
 

@@ -10,7 +10,6 @@ from g2sum.lattice_core import (
     IntLattice,
     LatticeError,
     Signature,
-    direct_sum,
     parse_lattice_expr,
 )
 from test_lattice_properties import det_exact, mat_mul
@@ -187,14 +186,16 @@ def test_rescale_rejects_a_non_integer_factor(k):
 
 
 def test_direct_sum():
-    total = direct_sum(
-        parse_lattice_expr("U"), parse_lattice_expr("E8(-1)"), parse_lattice_expr("<2>")
-    )
+    total = parse_lattice_expr("U + E8(-1) + <2>")
     assert total.rank == 11
     assert total.signature() == Signature(2, 9)
     assert total.determinant() == -1 * 1 * 2
     # off-diagonal blocks vanish
-    assert total.gram[0][5] == 0 and total.gram[10][3] == 0
+    block = (0,) * 2 + (1,) * 8 + (2,)
+    gram = total.gram
+    assert all(not gram[i][j] for i in range(11) for j in range(11) if block[i] != block[j])
+    ambient = parse_lattice_expr("2*E8(-1) + 2*U")
+    assert ambient._pivots == IntLattice(ambient.gram)._eliminate() == (2, 18, 1)
 
 
 def test_parse_lattice_expr():
@@ -226,6 +227,9 @@ def test_parse_lattice_expr_errors():
         parse_lattice_expr("<0>")
     with pytest.raises(LatticeError, match="n >= 3"):
         parse_lattice_expr("D2")
+    for text in ("U(0)", "E8(-0)"):
+        with pytest.raises(LatticeError, match="rescale factor must be nonzero"):
+            parse_lattice_expr(text)
     # a rank-one term takes no rescale suffix
     with pytest.raises(LatticeError, match="cannot parse"):
         parse_lattice_expr("<2>(3)")
@@ -282,18 +286,10 @@ def _count_eliminations(monkeypatch):
 SUMMANDS = ("U(2)", "E7(-1)", "<2>", "3*<-2>")
 
 
-def _parse_counting_parts(monkeypatch):
-    """Parse the sum of ``SUMMANDS`` with eliminations counted from then on.
-
-    Checks that the parse eliminates each of the four summand objects once,
-    the repeated ``<-2>`` included, and the sum never.
-    """
-    grams = [parse_lattice_expr(term.rpartition("*")[2]).gram for term in SUMMANDS]
+def _parse_counting_eliminations(monkeypatch):
+    """Parse the sum of ``SUMMANDS`` with eliminations counted from then on."""
     runs = _count_eliminations(monkeypatch)
-    lat = parse_lattice_expr(" + ".join(SUMMANDS))
-    assert [part.gram for part in runs] == grams
-    assert len({id(part) for part in runs}) == 4 and all(part is not lat for part in runs)
-    return lat, runs
+    return parse_lattice_expr(" + ".join(SUMMANDS)), runs
 
 
 def test_signature_then_determinant_share_one_elimination(monkeypatch):
@@ -305,11 +301,11 @@ def test_signature_then_determinant_share_one_elimination(monkeypatch):
     assert lat.signature() == Signature(2, 11)
     assert runs == [lat]
     monkeypatch.undo()
-    parsed, parts = _parse_counting_parts(monkeypatch)
+    parsed, runs = _parse_counting_eliminations(monkeypatch)
     assert parsed.signature() == Signature(2, 11)
     assert parsed.determinant() == -128
     assert parsed.signature() == Signature(2, 11)
-    assert len(parts) == 4  # the sum's invariants come from its parts
+    assert runs == []  # a parse reads its invariants off the grammar
 
 
 def test_determinant_then_signature_share_one_elimination(monkeypatch):
@@ -324,14 +320,25 @@ def test_determinant_then_signature_share_one_elimination(monkeypatch):
     assert other.determinant() == -128
     assert runs == [lat, other]  # the cache is per lattice, never shared
     monkeypatch.undo()
-    parsed, parts = _parse_counting_parts(monkeypatch)
+    parsed, runs = _parse_counting_eliminations(monkeypatch)
     assert parsed.determinant() == -128
     assert parsed.signature() == Signature(2, 11)
     assert parsed.determinant() == -128
-    assert len(parts) == 4
-    # a summand object that repeats is eliminated once
     assert parse_lattice_expr("U + 2*E8(-1)").signature() == Signature(1, 17)
-    assert len(parts) == 6
+    assert runs == []
+
+
+BASE_TERMS = ("U", "<2>", "<-2>", "<4>", "<-4>", "E7", "E8", *(f"D{n}" for n in range(3, 25)))
+
+
+@pytest.mark.parametrize("base", BASE_TERMS)
+def test_closed_form_pivots_match_elimination(base):
+    """Each term's (t_plus, t_minus, det), read off the grammar, is what
+    eliminating that term's own Gram matrix gives, under every rescale."""
+    for s in (1, -1, 2, -2, 3, -3):
+        text = f"<{int(base[1:-1]) * s}>" if base[0] == "<" else f"{base}({s})"
+        lat = parse_lattice_expr(text)
+        assert lat._pivots == IntLattice(lat.gram)._eliminate(), text
 
 
 DEGENERATE = (((2, 2), (2, 2)), ((0,),), ((0, 0), (0, 0)), ((2, 0, 0), (0, 0, 0), (0, 0, 4)))

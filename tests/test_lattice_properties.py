@@ -22,7 +22,6 @@ from g2sum.lattice_core import (
     IntLattice,
     LatticeError,
     Signature,
-    direct_sum,
     parse_lattice_expr,
 )
 
@@ -180,33 +179,6 @@ def test_every_symmetrized_gram_is_even(gram):
 @given(even_grams)
 def test_determinant_matches_reference(gram):
     assert IntLattice(gram).determinant() == det_exact(gram)
-
-
-@given(even_grams, even_grams)
-@settings(max_examples=60)
-def test_direct_sum_multiplicativity(g1, g2):
-    a, b = IntLattice(g1), IntLattice(g2)
-    total = direct_sum(a, b)
-    assert total.rank == a.rank + b.rank
-    assert total.determinant() == a.determinant() * b.determinant()
-    assert_full_gram_invariants(total)
-    degenerate = direct_sum(a, IntLattice(((0,),)), b)
-    assert degenerate.determinant() == 0
-    assert_full_gram_invariants(degenerate)
-
-
-def assert_full_gram_invariants(total):
-    """A sum's invariants, taken from its parts, are those of its whole Gram."""
-    whole = IntLattice(total.gram)
-    assert total.determinant() == whole.determinant()
-    if whole.determinant():
-        assert total.signature() == whole.signature()
-        return
-    for lat in (total, whole):
-        with pytest.raises(LatticeError, match="degenerate"):
-            lat.signature()
-        with pytest.raises(LatticeError, match="degenerate"):
-            lat.discriminant()
 
 
 @given(even_grams, st.integers(-3, 3).filter(bool))
@@ -410,8 +382,7 @@ def engine_built_lattices(draw):
     """A lattice the engine builds from checked parts without a second check.
 
     Either a parsed expression over ``DELTA_TERMS`` with multiplicities and
-    ``(s)`` suffixes, or a direct sum of battery lattices; then maybe
-    rescaled.
+    ``(s)`` suffixes, or a rescaled battery lattice; then maybe rescaled.
     """
     if draw(st.booleans()):
         terms = []
@@ -422,8 +393,8 @@ def engine_built_lattices(draw):
             terms.append(f"{count}*{term}" if count > 1 else term)
         lat = parse_lattice_expr(" + ".join(terms))
     else:
-        grams = draw(st.lists(st.sampled_from(battery_grams()), min_size=1, max_size=3))
-        lat = direct_sum(*map(IntLattice, grams))
+        gram = draw(st.sampled_from(battery_grams()))
+        lat = IntLattice(gram).rescale(draw(nonzero_factors))
     if draw(st.booleans()):
         lat = lat.rescale(draw(nonzero_factors))
     return lat

@@ -47,6 +47,7 @@ REMOVED = (
     "_CLAUSES",
     "nikulin_sufficient",
     "embeds_in_2e8_2h",
+    "direct_sum",
 )
 
 # Fields and properties deleted from the records that still exist.
