@@ -154,12 +154,6 @@ class NikulinCatalog(Frozen, _Rows):
     def __init__(self, triples: tuple[NikulinTriple, ...], complete: bool) -> None:
         self._fill(triples, complete)
 
-    def find(self, r: int, a: int, delta: int) -> NikulinTriple | None:
-        for t in self.triples:
-            if t.key == (r, a, delta):
-                return t
-        return None
-
 
 class FanoCatalog(Frozen, _Rows):
     __slots__ = ("families", "complete_rank_1")
@@ -425,8 +419,6 @@ def mirror_key(t: NikulinTriple) -> tuple[int, int, int] | None:
 
 def mirror_pairs(catalog: NikulinCatalog) -> list[tuple[NikulinTriple, NikulinTriple]]:
     """All unordered mirror pairs, canonically ordered (r <= 10 first)."""
-    by_key: dict[tuple[int, int, int], NikulinTriple] = {}
-    for t in catalog:
-        by_key.setdefault(t.key, t)  # the row ``NikulinCatalog.find`` returns
+    by_key = {t.key: t for t in reversed(catalog)}  # a repeated key keeps its first row
     partners = ((t, by_key.get(mirror_key(t))) for t in catalog if t.r <= 10)
     return [(t, partner) for t, partner in partners if partner is not None]

@@ -40,8 +40,9 @@ exit 2.
 
 Data rows go to stdout, diagnostics to stderr.  Exit status: 0 success,
 1 bad catalog data or an identity failure, 2 a catalog that cannot be
-read (``OSError``), any stdout that cannot be written (closed before the
-output ends, or on a full device; help too), or a usage error.
+read (``OSError``), any stdout that cannot be written (closed at start or
+before the output ends, or on a full device; help too), or a usage error.
+A diagnostic that stderr cannot take is dropped, never sent to stdout.
 
 A process enters through ``run``, which freezes the heap before exiting so
 the shutdown sweep skips it; ``main`` is the entry for in-process callers.
@@ -153,23 +154,40 @@ def _usage(command: str | None) -> str:
     return head + ("\n" + " " * len(head)).join(lines) + "\n"
 
 
-def _output_failed(exc: OSError) -> int:
-    """Report that stdout cannot be written: its reader closed it, or its
-    device is full.  The descriptor is pointed at devnull so the
-    interpreter's final flush of the unwritten buffer cannot fail again."""
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s descriptor at devnull: its unwritten bytes cannot fail the final flush."""
     devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
+    os.dup2(devnull, stream.fileno())
     os.close(devnull)
-    print(f"g2sum: cannot write output: {exc}", file=sys.stderr)
+
+
+def _diagnostic(text: str) -> None:
+    """Write a line to stderr, or drop it: stderr closed, its reader gone or its device full."""
+    if sys.stderr is not None:  # closed at start; ``print`` would write to stdout
+        try:
+            sys.stderr.write(text + "\n")
+        except OSError:
+            _to_devnull(sys.stderr)
+
+
+def _stdout():
+    """``sys.stdout``, which is None when descriptor 1 was closed at start."""
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
+    return sys.stdout
+
+
+def _output_failed(exc: OSError) -> int:
+    """Report that stdout cannot be written: closed at start or by its reader, or full."""
+    if sys.stdout is not None:
+        _to_devnull(sys.stdout)
+    _diagnostic(f"g2sum: cannot write output: {exc}")
     return EXIT_IO
 
 
 def _usage_error(command: str | None, message: str) -> NoReturn:
     prog = "g2sum" if command is None else "g2sum " + command
-    try:
-        sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
-    except OSError:
-        pass  # as argparse did: a usage error that cannot be written is dropped
+    _diagnostic(f"{_usage(command)}{prog}: error: {message}")
     raise SystemExit(2)
 
 
@@ -182,7 +200,7 @@ def _help(command: str | None, inline: str | None) -> NoReturn:
         mode_help = _MODE_HELP if command in _COMMANDS_WITH_MODE else ""
         text = _usage(command) + "\n" + mode_help + _OPTIONS_HELP
     try:
-        sys.stdout.write(text)
+        _stdout().write(text)
         sys.stdout.flush()  # a write error surfaces here, not at interpreter exit
     except OSError as exc:
         raise SystemExit(_output_failed(exc))
@@ -305,7 +323,7 @@ def _banner(statuses: list[tuple[str, int, str]]) -> None:
         else f"{name} {rows} rows ({status.replace('incomplete', 'INCOMPLETE')})"
         for name, rows, status in statuses
     ]
-    print("# data: " + "; ".join(notes), file=sys.stderr)
+    _diagnostic("# data: " + "; ".join(notes))
 
 
 def _joined(items: Sequence) -> str:
@@ -369,7 +387,7 @@ def _write_positions(
     indent=2)`` plus a newline, and of a text table left-justified to each
     column's widest cell.
     """
-    out = sys.stdout
+    out = _stdout()
     cell, begin, sep, end = _FORMATS[fmt]
     runs = []  # per position: its first field, the cells of each used part, its index
     start = 0
@@ -553,10 +571,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         fano = load_fano(args.fano)
         joyce = load_joyce(args.joyce)
     except OSError as exc:
-        print(f"g2sum: cannot read catalog: {exc}", file=sys.stderr)
+        _diagnostic(f"g2sum: cannot read catalog: {exc}")
         return EXIT_IO
     except CatalogError as exc:
-        print(f"g2sum: {exc}", file=sys.stderr)
+        _diagnostic(f"g2sum: {exc}")
         return EXIT_VALIDATION
     _banner(_statuses(nikulin, fano, joyce))
     # A command's objects die by reference count; the cyclic collector would
@@ -569,7 +587,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()  # a write error surfaces here, not at interpreter exit
         return EXIT_OK
     except IdentityError as exc:
-        print(f"g2sum: {exc}", file=sys.stderr)
+        _diagnostic(f"g2sum: {exc}")
         return EXIT_VALIDATION
     except OSError as exc:
         # The catalogs are loaded, so a command does no other I/O.

@@ -10,9 +10,9 @@ point and no rationals anywhere.
 
 A Gram matrix is checked once, where it comes in from a caller:
 ``IntLattice(gram)`` rejects a non-integer entry, an empty, non-square or
-asymmetric matrix, and ``rescale`` checks its factor.  The lattices the
-engine builds from parts it has already checked (a parsed expression, a
-rescaled lattice) are not checked again.
+asymmetric matrix.  The parser builds the engine's lattices from parts
+the grammar has checked and does not check them again; a rescaled lattice
+is named there by a suffix (``U(2)``).
 
 A parsed expression is never eliminated: the signature of an orthogonal
 sum adds and its determinant multiplies over the terms, and each term's
@@ -107,8 +107,8 @@ class IntLattice(Frozen, ignore=("_smith", "_pivots")):
 
     Entries must be integers (anything ``operator.index`` accepts); floats
     and strings are rejected, never truncated.  This constructor, for caller
-    data, is the one that checks a Gram matrix; the engine builds the
-    lattices it derives with :meth:`_from_checked`.  Equality and hash read
+    data, is the one that checks a Gram matrix; the parser builds its
+    lattices with :meth:`_from_checked`.  Equality and hash read
     the Gram matrix only, not the cached Smith form or elimination.
 
     >>> IntLattice([[0, 1], [1, 0]]).signature()
@@ -138,14 +138,12 @@ class IntLattice(Frozen, ignore=("_smith", "_pivots")):
         self._fill(frozen, None, None)
 
     @classmethod
-    def _from_checked(
-        cls, gram: Matrix, pivots: tuple[int, int, int] | None = None
-    ) -> IntLattice:
-        """A lattice on a Gram matrix built from parts that were checked.
+    def _from_checked(cls, gram: Matrix, pivots: tuple[int, int, int]) -> IntLattice:
+        """A parsed lattice: :func:`parse_lattice_expr` is the one caller.
 
         ``gram`` must be a nonempty square symmetric tuple of tuples of
-        ``int``, as its construction guarantees; nothing is checked again.
-        ``pivots`` goes into the ``_pivots`` slot.
+        ``int``, as the parser builds it; nothing is checked again.
+        ``pivots``, read off the grammar, fills the ``_pivots`` slot.
         """
         lattice = object.__new__(cls)
         lattice._fill(gram, None, pivots)
@@ -158,16 +156,6 @@ class IntLattice(Frozen, ignore=("_smith", "_pivots")):
     def is_even(self) -> bool:
         """True when every basis vector has even square."""
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
-
-    def rescale(self, k: int) -> "IntLattice":
-        """The same module with the form multiplied by ``k`` (a nonzero integer)."""
-        try:
-            k = index(k)
-        except TypeError:
-            raise LatticeError(f"rescale factor must be an integer, got {k!r}") from None
-        if k == 0:
-            raise LatticeError("rescale factor must be nonzero")
-        return IntLattice._from_checked(tuple([tuple([k * x for x in row]) for row in self.gram]))
 
     def determinant(self) -> int:
         """Exact determinant: the last pivot ``D_n`` of :meth:`_eliminate`."""

@@ -16,6 +16,12 @@ def nikulin():
 
 
 @pytest.fixture(scope="session")
+def nikulin_by_key(nikulin):
+    """The packaged Nikulin rows by their key (r, a, delta)."""
+    return {t.key: t for t in nikulin}
+
+
+@pytest.fixture(scope="session")
 def fano():
     return load_fano()
 

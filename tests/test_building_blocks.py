@@ -16,17 +16,17 @@ from g2sum.building_blocks import (
 from g2sum.catalog import NikulinTriple
 
 
-def test_involution_block_formulas(nikulin):
-    blk = involution_block(nikulin.find(10, 8, 0))
+def test_involution_block_formulas(nikulin_by_key):
+    blk = involution_block(nikulin_by_key[10, 8, 0])
     assert (blk.b2_bar, blk.b3_bar, blk.d) == (15, 8, 4)
     assert (blk.rank, blk.l_bound) == (10, 8)
     assert blk.kind == KIND_INVOLUTION
     assert blk.label == "involution(10,8,0)"
 
-    blk = involution_block(nikulin.find(18, 0, 0))
+    blk = involution_block(nikulin_by_key[18, 0, 0])
     assert (blk.b2_bar, blk.b3_bar, blk.d) == (39, 8, 20)
 
-    blk = involution_block(nikulin.find(1, 1, 1))
+    blk = involution_block(nikulin_by_key[1, 1, 1])
     assert (blk.b2_bar, blk.b3_bar, blk.d) == (4, 40, 2)
 
 
@@ -68,8 +68,8 @@ def test_quartic_blowup_block():
     assert q.kind == KIND_BLOWUP
 
 
-def test_euler_crosscheck_worked_example(nikulin):
-    ec = euler_crosscheck(nikulin.find(17, 1, 1))
+def test_euler_crosscheck_worked_example(nikulin_by_key):
+    ec = euler_crosscheck(nikulin_by_key[17, 1, 1])
     assert ec.curve_count == 9
     assert ec.euler_sum == 14
     assert (ec.h11, ec.h12) == (36, 4)
@@ -77,15 +77,15 @@ def test_euler_crosscheck_worked_example(nikulin):
     assert ec.ok
 
 
-def test_euler_check_requires_even_euler_sum(nikulin):
-    ec = euler_crosscheck(nikulin.find(17, 1, 1))
+def test_euler_check_requires_even_euler_sum(nikulin_by_key):
+    ec = euler_crosscheck(nikulin_by_key[17, 1, 1])
     odd = ec._replace(euler_sum=ec.euler_sum + 1)
     assert (odd.h11, 2 * odd.h12) == (odd.b2_bar, odd.b3_bar)
     assert not odd.ok
 
 
-def test_euler_check_requires_equal_h11(nikulin):
-    ec = euler_crosscheck(nikulin.find(17, 1, 1))
+def test_euler_check_requires_equal_h11(nikulin_by_key):
+    ec = euler_crosscheck(nikulin_by_key[17, 1, 1])
     high = ec._replace(h11=ec.b2_bar + 2)
     assert high.euler_sum % 2 == 0 and 2 * high.h12 == high.b3_bar
     assert not high.ok
@@ -101,8 +101,8 @@ def test_euler_crosscheck_all_triples(nikulin):
     assert checked == 74
 
 
-def test_euler_crosscheck_tests_the_glued_block(monkeypatch, nikulin):
-    t = nikulin.find(17, 1, 1)
+def test_euler_crosscheck_tests_the_glued_block(monkeypatch, nikulin_by_key):
+    t = nikulin_by_key[17, 1, 1]
     ec, blk = euler_crosscheck(t), involution_block(t)
     assert (ec.b2_bar, ec.b3_bar) == (blk.b2_bar, blk.b3_bar)
 

@@ -39,11 +39,11 @@ def write(tmp_path, text, name="cat.csv"):
 # --- packaged data ----------------------------------------------------------
 
 
-def test_packaged_nikulin_catalog(nikulin):
+def test_packaged_nikulin_catalog(nikulin, nikulin_by_key):
     assert len(nikulin) == 75
     assert nikulin.complete
-    assert nikulin.find(18, 0, 0).source == "U + 2*E8(-1)"
-    assert nikulin.find(1, 2, 3) is None
+    assert nikulin_by_key[18, 0, 0].source == "U + 2*E8(-1)"
+    assert (1, 2, 3) not in nikulin_by_key
     # sorted by (r, a, delta)
     keys = [t.key for t in nikulin.triples]
     assert keys == sorted(keys)
@@ -508,8 +508,8 @@ def test_fixed_locus_special_classes():
     assert fixed_locus(NikulinTriple(10, 8, 0)).kind == TWO_ELLIPTIC_CURVES
 
 
-def test_fixed_locus_generic_shape(nikulin):
-    t = nikulin.find(17, 1, 1)
+def test_fixed_locus_generic_shape(nikulin_by_key):
+    t = nikulin_by_key[17, 1, 1]
     loc = fixed_locus(t)
     assert loc.kind == GENERIC
     assert loc.genus == (22 - 17 - 1) // 2 == 2
@@ -548,17 +548,17 @@ def test_fixed_locus_curve_counts():
     assert fixed_locus(NikulinTriple(10, 8, 0)).euler_sum == 0
 
 
-def test_mirror_partner(nikulin):
-    t = nikulin.find(2, 0, 0)
-    assert nikulin.find(*mirror_key(t)).key == (18, 0, 0)
+def test_mirror_partner(nikulin_by_key):
+    t = nikulin_by_key[2, 0, 0]
+    assert nikulin_by_key[mirror_key(t)].key == (18, 0, 0)
     # rank-10 classes can be their own partner
-    t10 = nikulin.find(10, 4, 1)
-    assert nikulin.find(*mirror_key(t10)).key == (10, 4, 1)
+    t10 = nikulin_by_key[10, 4, 1]
+    assert nikulin_by_key[mirror_key(t10)].key == (10, 4, 1)
     # excluded: a partner shape that is no class, as (7,9,1) for (13,9,1)
     # with r + a = 22 and (6,6,0) for (14,6,0), and the free class
-    assert mirror_key(nikulin.find(13, 9, 1)) is None
-    assert mirror_key(nikulin.find(14, 6, 0)) is None
-    assert mirror_key(nikulin.find(10, 10, 0)) is None
+    assert mirror_key(nikulin_by_key[13, 9, 1]) is None
+    assert mirror_key(nikulin_by_key[14, 6, 0]) is None
+    assert mirror_key(nikulin_by_key[10, 10, 0]) is None
 
 
 def test_mirror_pairs_census(nikulin):

@@ -89,9 +89,9 @@ def oracle(fano, nikulin):
     }
     # Each anchor the catalog holds, against every rank-one block.
     spaces[LARGE_RANK] = [
-        (LARGE_RANK, involution_block(nikulin.find(*key)), q)
-        for key in LARGE_RANK_TRIPLES[:2]
-        if nikulin.find(*key) is not None
+        (LARGE_RANK, involution_block(t), q)
+        for t in nikulin
+        if t.key in LARGE_RANK_TRIPLES[:2]
         for q in blocks + [quartic]
         if q.rank == 1
     ]

@@ -1,8 +1,10 @@
 """Command-line behavior: subcommands, formats, exit codes, streams."""
 
+import contextlib
 import csv
 import errno
 import gc
+import hashlib
 import io
 import json
 import os
@@ -22,6 +24,7 @@ from g2sum.enumerator import (
     enumerate_mirror,
     enumerate_seq,
 )
+from test_golden_output import COMMANDS as GOLDEN
 
 MIRROR_ROWS = [(4, 35), (6, 41), (8, 47), (10, 53), (12, 59), (14, 65),
                (16, 71), (18, 77), (20, 83), (22, 89), (24, 95)]
@@ -579,6 +582,104 @@ def test_stdout_on_a_full_device_is_io_error_without_traceback(argv, optimize):
     assert f"g2sum: cannot write output: [Errno {errno.ENOSPC}] " in proc.stderr
     assert "Exception ignored" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+BAD_NIKULIN = "r,a,delta,source\n19,11,1,x\n"
+
+
+@pytest.mark.parametrize("optimize", [(), ("-O",)], ids=["plain", "optimized"])
+@pytest.mark.parametrize(
+    "argv, code, last_line",
+    [
+        (("validate",), EXIT_IO, "g2sum: cannot write output: stdout is closed"),
+        (("--help",), EXIT_IO, "g2sum: cannot write output: stdout is closed"),
+        (("enumerate", "-h"), EXIT_IO, "g2sum: cannot write output: stdout is closed"),
+        # A bad catalog fails before any output is written.
+        (("validate", "--nikulin", "{bad}"), EXIT_VALIDATION, "g2sum: {bad}:2: no even"),
+    ],
+    ids=["validate", "help", "command-help", "bad-catalog"],
+)
+def test_stdout_closed_at_start_is_io_error_without_traceback(
+    tmp_path, argv, code, last_line, optimize
+):
+    # Descriptor 1 closed before exec leaves the child no sys.stdout at all.
+    bad = tmp_path / "bad.csv"
+    bad.write_text(BAD_NIKULIN)
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-m", "g2sum.cli", *[a.format(bad=bad) for a in argv]],
+        preexec_fn=lambda: os.close(1),
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(last_line.format(bad=bad))
+    assert "Traceback" not in proc.stderr
+
+
+@contextlib.contextmanager
+def unwritable_stderr(kind):
+    """``subprocess.run`` keywords that give the child a stderr it cannot write."""
+    if kind == "closed":
+        yield {"preexec_fn": lambda: os.close(2)}
+    elif kind == "broken-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            yield {"stderr": write_end}
+        finally:
+            os.close(write_end)
+    else:
+        with open("/dev/full", "w") as full:
+            yield {"stderr": full}
+
+
+@pytest.mark.parametrize("optimize", [(), ("-O",)], ids=["plain", "optimized"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("validate", EXIT_OK),
+        ("enumerate emb --format json", EXIT_OK),
+        ("bogus", EXIT_IO),
+        ("validate --nikulin {missing}", EXIT_IO),
+        ("validate --nikulin {bad}", EXIT_VALIDATION),
+    ],
+    ids=["validate", "enumerate-json", "usage-error", "missing-catalog", "bad-catalog"],
+)
+@pytest.mark.parametrize(
+    "stderr",
+    [
+        "closed",
+        "broken-pipe",
+        pytest.param(
+            "full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+        ),
+    ],
+)
+def test_unwritable_stderr_changes_neither_stdout_nor_the_exit_code(
+    tmp_path, stderr, argv, code, optimize
+):
+    # Closed, print(file=sys.stderr) would write to stdout; broken or full,
+    # the bytes left in its buffer would fail the interpreter's final flush,
+    # so stderr keeps its default buffer.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    bad = tmp_path / "bad.csv"
+    bad.write_text(BAD_NIKULIN)
+    words = argv.format(bad=bad, missing=tmp_path / "missing.csv").split()
+    with unwritable_stderr(stderr) as streams:
+        proc = subprocess.run(
+            [sys.executable, *optimize, "-m", "g2sum.cli", *words],
+            stdout=subprocess.PIPE,
+            env=env,
+            timeout=120,
+            **streams,
+        )
+    assert proc.returncode == code
+    if argv in GOLDEN:
+        assert GOLDEN[argv]["exit"] == code
+        assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN[argv]["sha256"]
+    else:
+        assert proc.stdout == b""
 
 
 def _lowest_free_fd():

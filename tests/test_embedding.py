@@ -105,20 +105,20 @@ def test_emb_run_writes_only_the_banner_to_stderr():
     assert len(lines) == 1 and lines[0].startswith("# data: nikulin 75 rows"), lines
 
 
-def _blocks(nikulin, *keys):
-    return [involution_block(nikulin.find(*k)) for k in keys]
+def _blocks(nikulin_by_key, *keys):
+    return [involution_block(nikulin_by_key[k]) for k in keys]
 
 
-def test_large_rank_times_rank_one_fano(nikulin, fano_rank_one):
-    b18 = involution_block(nikulin.find(18, 0, 0))
+def test_large_rank_times_rank_one_fano(nikulin_by_key, fano_rank_one):
+    b18 = involution_block(nikulin_by_key[18, 0, 0])
     for fam in fano_rank_one:
         cert = matching_condition(b18, fano_block(fam))
         assert cert.condition == COND_A
         assert cert.verdict_a.rule == "large-rank-rank-one"
 
 
-def test_self_pair_10_8_0(nikulin):
-    (blk,) = _blocks(nikulin, (10, 8, 0))
+def test_self_pair_10_8_0(nikulin_by_key):
+    (blk,) = _blocks(nikulin_by_key, (10, 8, 0))
     cert = matching_condition(blk, blk)
     # the rank bound holds, and the mirror rule rescues condition A even
     # though the numeric criterion alone is inconclusive (10+10+8+8 >= 20)
@@ -127,15 +127,15 @@ def test_self_pair_10_8_0(nikulin):
     assert _numeric((10, 8), (10, 8)) == INCONCLUSIVE
 
 
-def test_self_pair_18_0_0_matches_nothing(nikulin):
-    (blk,) = _blocks(nikulin, (18, 0, 0))
+def test_self_pair_18_0_0_matches_nothing(nikulin_by_key):
+    (blk,) = _blocks(nikulin_by_key, (18, 0, 0))
     cert = matching_condition(blk, blk)
     assert cert.condition == NONE
     assert not cert.has_cond_a
 
 
-def test_cond_b_only_pair(nikulin):
-    b1, b2 = _blocks(nikulin, (10, 0, 0), (10, 2, 0))
+def test_cond_b_only_pair(nikulin_by_key):
+    b1, b2 = _blocks(nikulin_by_key, (10, 0, 0), (10, 2, 0))
     cert = matching_condition(b1, b2)
     assert cert.condition == COND_B
     assert cert.verdict_a.status == INCONCLUSIVE

@@ -74,9 +74,9 @@ def test_glue_two_p3_blocks(fano):
     assert glue_betti(p3, p3) == (0, 155)
 
 
-def test_glue_large_rank_with_small(nikulin):
-    b18 = involution_block(nikulin.find(18, 0, 0))
-    b111 = involution_block(nikulin.find(1, 1, 1))
+def test_glue_large_rank_with_small(nikulin_by_key):
+    b18 = involution_block(nikulin_by_key[18, 0, 0])
+    b111 = involution_block(nikulin_by_key[1, 1, 1])
     assert glue_betti(b18, b111) == (22, 93)
 
 
@@ -85,9 +85,9 @@ def rank_excess(block):
     return block.b2_bar - 1 - block.d
 
 
-def test_glue_rank_condition_violation(monkeypatch, nikulin):
+def test_glue_rank_condition_violation(monkeypatch, nikulin, nikulin_by_key):
     # No pair-space admits (18,0,0) with itself: its rank sum 36 is over 22.
-    b18 = involution_block(nikulin.find(18, 0, 0))
+    b18 = involution_block(nikulin_by_key[18, 0, 0])
     assert glue_betti(b18, b18) == (40, 79)
     assert 2 * rank_excess(b18) == 36
     # A block formula that breaks the rank condition for mirror pairs, whose
@@ -105,11 +105,11 @@ def test_glue_rank_condition_violation(monkeypatch, nikulin):
         enumerate_mirror(nikulin)
 
 
-def test_rank_condition_boundary_is_22(monkeypatch, fano, nikulin):
+def test_rank_condition_boundary_is_22(monkeypatch, fano, nikulin_by_key):
     # P3 (rank 1) and (12,2,1) (rank 12) make two emb pairs: P3 x P3 and
     # P3 x (12,2,1).  Raising P3's b2_bar by k adds k to each of its shares.
     p3 = next(f for f in fano if f.id == "P3")
-    small = (FanoCatalog((p3,), False), NikulinCatalog((nikulin.find(12, 2, 1),), False))
+    small = (FanoCatalog((p3,), False), NikulinCatalog((nikulin_by_key[12, 2, 1],), False))
     real = enumerator_mod.fano_block
 
     def raised(k):
@@ -172,9 +172,9 @@ def test_an_unknown_space_is_refused(fano, nikulin):
         _census(fano, nikulin, (MIRROR, "emb"))
 
 
-def test_record_api(nikulin, emb_records):
-    b18 = involution_block(nikulin.find(18, 0, 0))
-    b200 = involution_block(nikulin.find(2, 0, 0))
+def test_record_api(nikulin_by_key, emb_records):
+    b18 = involution_block(nikulin_by_key[18, 0, 0])
+    b200 = involution_block(nikulin_by_key[2, 0, 0])
     rec = _record(b18, b200)
     assert (rec.b2, rec.b3, rec.mode, rec.blocks) == (24, 95, "GLUED", (b18, b200))
     assert (rec.b2, rec.b3) == (24, 95) and rec.certificate.has_cond_a

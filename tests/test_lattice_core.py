@@ -137,7 +137,7 @@ def test_smith_normal_form_a2():
 
 
 def test_smith_normal_form_twisted_plane():
-    u2 = parse_lattice_expr("U").rescale(2)
+    u2 = parse_lattice_expr("U(2)")
     snf = u2.smith_normal_form()
     assert [snf.S[i][i] for i in range(2)] == [2, 2]
     d = u2.discriminant()
@@ -170,19 +170,15 @@ def test_odd_gram_not_even():
 
 
 def test_rescale():
-    assert parse_lattice_expr("U").rescale(2).gram == ((0, 2), (2, 0))
-    assert parse_lattice_expr("E8(-1)").rescale(-1).signature() == Signature(8, 0)
-    assert A2.rescale(3).determinant() == 3**2 * 3
-    assert A2.rescale(True) == A2
-    assert A2.rescale(2**70).gram == ((2**71, 2**70), (2**70, 2**71))
-    with pytest.raises(LatticeError, match="nonzero"):
-        A2.rescale(0)
-
-
-@pytest.mark.parametrize("k", [2.5, "2", None, 2.0], ids=["float", "str", "None", "integral float"])
-def test_rescale_rejects_a_non_integer_factor(k):
-    with pytest.raises(LatticeError, match="rescale factor must be an integer"):
-        A2.rescale(k)
+    # A rescaled lattice is named by the parser's suffix.
+    assert parse_lattice_expr("U(2)").gram == ((0, 2), (2, 0))
+    assert parse_lattice_expr("E8(-1)").signature() == Signature(0, 8)
+    assert parse_lattice_expr("E8(1)").signature() == Signature(8, 0)
+    huge = parse_lattice_expr(f"U({2**70})")
+    assert huge.gram == ((0, 2**70), (2**70, 0))
+    assert huge.determinant() == -(2**140)
+    # A rescaled Gram matrix is caller data.
+    assert IntLattice(((6, 3), (3, 6))).determinant() == 3**2 * A2.determinant()
 
 
 def test_direct_sum():

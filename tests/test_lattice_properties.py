@@ -8,7 +8,6 @@ dual coset representatives, and (when sympy is installed) sympy's
 invariant factors.  The Smith transforms themselves are pinned by hash.
 """
 
-import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -181,11 +180,16 @@ def test_determinant_matches_reference(gram):
     assert IntLattice(gram).determinant() == det_exact(gram)
 
 
+def scaled(gram, k):
+    """The Gram matrix of the same module with the form multiplied by ``k``."""
+    return [[k * x for x in row] for row in gram]
+
+
 @given(even_grams, st.integers(-3, 3).filter(bool))
 @settings(max_examples=60)
 def test_rescale_determinant(gram, k):
     lat = IntLattice(gram)
-    assert lat.rescale(k).determinant() == k**lat.rank * lat.determinant()
+    assert IntLattice(scaled(gram, k)).determinant() == k**lat.rank * lat.determinant()
 
 
 @given(even_grams)
@@ -196,7 +200,7 @@ def test_signature_counts_rank(gram):
         return
     sig = lat.signature()
     assert sig.t_plus + sig.t_minus == lat.rank
-    assert lat.rescale(-1).signature() == Signature(sig.t_minus, sig.t_plus)
+    assert IntLattice(scaled(gram, -1)).signature() == Signature(sig.t_minus, sig.t_plus)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -369,35 +373,22 @@ def test_delta_matches_subset_scan_on_direct_sums(terms):
         assert info.delta is None
 
 
-nonzero_factors = st.integers(-3, 3).filter(bool) | st.sampled_from((True, 2**70))
-
-
-@functools.cache
-def battery_grams():
-    return tuple(lat.gram for lat, _ in battery_500())
+# A rescale suffix: small factors of either sign, or one past a machine word.
+nonzero_factors = st.integers(-3, 3).filter(bool) | st.just(2**70)
 
 
 @st.composite
 def engine_built_lattices(draw):
-    """A lattice the engine builds from checked parts without a second check.
-
-    Either a parsed expression over ``DELTA_TERMS`` with multiplicities and
-    ``(s)`` suffixes, or a rescaled battery lattice; then maybe rescaled.
-    """
-    if draw(st.booleans()):
-        terms = []
-        for term in draw(st.lists(st.sampled_from(DELTA_TERMS), min_size=1, max_size=4)):
-            if "(" not in term and term[0] != "<" and draw(st.booleans()):
-                term += f"({draw(st.integers(-3, 3).filter(bool))})"
-            count = draw(st.integers(1, 2))
-            terms.append(f"{count}*{term}" if count > 1 else term)
-        lat = parse_lattice_expr(" + ".join(terms))
-    else:
-        gram = draw(st.sampled_from(battery_grams()))
-        lat = IntLattice(gram).rescale(draw(nonzero_factors))
-    if draw(st.booleans()):
-        lat = lat.rescale(draw(nonzero_factors))
-    return lat
+    """A lattice the engine builds from checked parts without a second check:
+    a parsed expression over ``DELTA_TERMS`` with multiplicities and ``(s)``
+    suffixes, the one place the engine builds a lattice."""
+    terms = []
+    for term in draw(st.lists(st.sampled_from(DELTA_TERMS), min_size=1, max_size=4)):
+        if "(" not in term and term[0] != "<" and draw(st.booleans()):
+            term += f"({draw(nonzero_factors)})"
+        count = draw(st.integers(1, 2))
+        terms.append(f"{count}*{term}" if count > 1 else term)
+    return parse_lattice_expr(" + ".join(terms))
 
 
 @given(engine_built_lattices())
