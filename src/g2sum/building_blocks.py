@@ -20,7 +20,7 @@ the fixed-curve geometry and verifies both routes agree.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._frozen import Frozen
 from .catalog import EMPTY, FanoFamily, NikulinTriple, fixed_locus
@@ -108,7 +108,7 @@ def quartic_blowup_block() -> BuildingBlock:
     )
 
 
-class EulerCheck(NamedTuple):
+class EulerCheck(namedtuple("EulerCheck", "curve_count euler_sum h11 h12 b2_bar b3_bar")):
     """Both computation routes for an involution block, side by side.
 
     ``ok`` also requires an even fixed-curve Euler sum, without which the
@@ -116,12 +116,7 @@ class EulerCheck(NamedTuple):
     not an integer.
     """
 
-    curve_count: int
-    euler_sum: int
-    h11: int
-    h12: int
-    b2_bar: int
-    b3_bar: int
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -52,8 +52,9 @@ from __future__ import annotations
 import os
 import re
 import sys
+from collections import namedtuple
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from ._frozen import Frozen
 
@@ -100,7 +101,7 @@ class FanoFamily(Frozen, ignore=("source",)):
         return self.b3 + self.minus_k3
 
 
-class FixedLocus(NamedTuple):
+class FixedLocus(namedtuple("FixedLocus", "kind genus rational_curves", defaults=(None, None))):
     """Fixed locus of the involution on the quotient surface.
 
     ``GENERIC`` means one curve of genus ``genus`` plus ``rational_curves``
@@ -108,9 +109,7 @@ class FixedLocus(NamedTuple):
     TWO_ELLIPTIC_CURVES.
     """
 
-    kind: str
-    genus: int | None = None
-    rational_curves: int | None = None
+    __slots__ = ()
 
     @property
     def curve_count(self) -> int:

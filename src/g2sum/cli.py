@@ -9,7 +9,9 @@ Subcommands:
 * ``table1``            per-b2 summary of the numeric-clause enumeration:
                         the number of distinct b3 values and those values,
                         sorted, for b2 = 2..18;
-* ``crosscheck``        run every internal identity: the fixed-curve
+* ``crosscheck``        run every internal identity: the gluing ambient's
+                        signature and rank against the lattice engine (the
+                        one command that imports it), the fixed-curve
                         recomputation for all involution classes, and the
                         closed-form-vs-gluing identity and the rank
                         condition once per pair class of all six
@@ -74,6 +76,7 @@ from .catalog import (
     load_joyce,  # patched by spans.install_cli
     load_nikulin,  # patched by spans.install_cli, called by clirun.CLI_SETUP
 )
+from .embedding import _AMBIENT_EXPR, _AMBIENT_RANK, _AMBIENT_SIG
 from .enumerator import (
     EMB_A,
     EMB_B,
@@ -504,6 +507,18 @@ def _cmd_crosscheck(
     fano: FanoCatalog,
     joyce: JoyceCatalog | None,
 ) -> None:
+    # The matching conditions read the ambient's signature and rank as
+    # literals; only this command loads the lattice engine to check them.
+    from .lattice_core import parse_lattice_expr
+
+    ambient = parse_lattice_expr(_AMBIENT_EXPR)
+    found = (tuple(ambient.signature()), ambient.rank)
+    if found != (_AMBIENT_SIG, _AMBIENT_RANK):
+        raise IdentityError(
+            f"the engine gives the ambient {_AMBIENT_EXPR} signature {found[0]} and rank "
+            f"{found[1]}; the matching conditions read {_AMBIENT_SIG} and {_AMBIENT_RANK}"
+        )
+
     involutions = [t for t in nikulin if fixed_locus(t).kind != EMPTY]
     for t in involutions:
         result = euler_crosscheck(t)

@@ -11,6 +11,10 @@ primitively when its signature fits componentwise and the pair's *size*
 below 18.  The criterion is *sufficient only*: INCONCLUSIVE never proves
 non-existence.
 
+The ambient's signature and rank are literals here, so the matching
+conditions run without the lattice engine; the ``crosscheck`` command
+checks them against the engine's parse of ``2*E8(-1) + 2*U``.
+
 Where it is inconclusive, two special-case rules cover block pairs that
 are known to embed: mirror pairs of invariant lattices (the relation
 itself is ``catalog.mirror_key``), and the two rank-17/18 lattices paired
@@ -19,11 +23,11 @@ with any rank-one lattice.
 
 from __future__ import annotations
 
-from typing import Final, NamedTuple
+from collections import namedtuple
+from typing import Final
 
 from .building_blocks import BuildingBlock
 from .catalog import EMPTY, fixed_locus, mirror_key
-from .lattice_core import parse_lattice_expr
 
 SUFFICIENT: Final = "SUFFICIENT"
 SUFFICIENT_UNIQUE: Final = "SUFFICIENT_UNIQUE"
@@ -35,36 +39,36 @@ BOTH: Final = "BOTH"
 NONE: Final = "NONE"
 
 
-class EmbeddingVerdict(NamedTuple):
+class EmbeddingVerdict(namedtuple("EmbeddingVerdict", "status rule")):
     """Outcome of the condition-A decision plus the rule that produced it."""
 
-    status: str
-    rule: str
+    __slots__ = ()
 
     @property
     def sufficient(self) -> bool:
         return self.status in (SUFFICIENT, SUFFICIENT_UNIQUE)
 
 
-class MatchCertificate(NamedTuple):
+class MatchCertificate(namedtuple("MatchCertificate", "condition verdict_a")):
     """Which matching conditions a block pair is known to satisfy.
 
     ``condition`` is COND_A, COND_B, BOTH or NONE.  ``verdict_a`` explains
     the condition-A decision (numeric or special rule).
     """
 
-    condition: str
-    verdict_a: EmbeddingVerdict
+    __slots__ = ()
 
     @property
     def has_cond_a(self) -> bool:
         return self.condition in (COND_A, BOTH)
 
 
-# Signature and rank of 2*E8(-1) + 2*U, read once at import from the parse,
-# which sums its terms' signatures.
-_AMBIENT_SIG: Final = parse_lattice_expr("2*E8(-1) + 2*U").signature()
-_AMBIENT_RANK: Final = sum(_AMBIENT_SIG)
+# The gluing ambient, its signature and its rank.  The two figures are
+# literals, so no command but ``crosscheck`` imports the lattice engine;
+# that command checks them against ``parse_lattice_expr(_AMBIENT_EXPR)``.
+_AMBIENT_EXPR: Final = "2*E8(-1) + 2*U"
+_AMBIENT_SIG: Final = (2, 18)
+_AMBIENT_RANK: Final = 20
 
 
 def _mirror_pair_rule(b1: BuildingBlock, b2: BuildingBlock) -> str | None:
@@ -115,8 +119,9 @@ def matching_condition(b1: BuildingBlock, b2: BuildingBlock) -> MatchCertificate
     if l > rk:
         raise ValueError(f"l(N) = {l} cannot exceed rk N = {rk}")
     size = rk + l
+    t_plus, t_minus = _AMBIENT_SIG
     # The sum of the two (1, r - 1) lattices has signature (2, rk - 2).
-    if 2 <= _AMBIENT_SIG.t_plus and rk - 2 <= _AMBIENT_SIG.t_minus and size < _AMBIENT_RANK:
+    if 2 <= t_plus and rk - 2 <= t_minus and size < _AMBIENT_RANK:
         status = SUFFICIENT_UNIQUE if size < _AMBIENT_RANK - 2 else SUFFICIENT
         verdict = EmbeddingVerdict(status, "numeric")
     else:

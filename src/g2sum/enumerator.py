@@ -11,7 +11,8 @@ one pool, built once per census in catalog order (each Fano family, each
 involution class but the fixed-point-free (10,10,0), then the quartic
 blow-up block).  A block's *size* is ``rank + l_bound``; a pair passes
 the numeric embedding criterion when its total size is below the rank of
-the gluing ambient 2*E8(-1) + 2*U, which is 20 (``embedding._AMBIENT_RANK``).
+the gluing ambient 2*E8(-1) + 2*U, which is 20 (``embedding._AMBIENT_RANK``,
+a literal that the ``crosscheck`` command checks against the lattice engine).
 
 * ``EMB_A``       every unordered pair of Fano blocks of size below 20;
 * ``EMB_B``       every Fano block against every involution block, size
@@ -78,7 +79,8 @@ so a failure means a transcription bug.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Iterable, Sequence
 
 from .building_blocks import (
     KIND_FANO,
@@ -117,14 +119,10 @@ class IdentityError(RuntimeError):
     """
 
 
-class G2Record(NamedTuple):
+class G2Record(namedtuple("G2Record", "b2 b3 mode certificate blocks")):
     """One matched pair of blocks and the resulting (b2, b3)."""
 
-    b2: int
-    b3: int
-    mode: str
-    certificate: MatchCertificate
-    blocks: tuple[BuildingBlock, BuildingBlock]
+    __slots__ = ()
 
     @property
     def weight(self) -> int:
@@ -148,7 +146,7 @@ def glue_betti(block1: BuildingBlock, block2: BuildingBlock) -> tuple[int, int]:
     return (b2, block1.b3_bar + block2.b3_bar + b2 + 23)
 
 
-class _Entry(NamedTuple):
+class _Entry(namedtuple("_Entry", "block size share lattice position order")):
     """One pooled block with what every pair it joins reads of it.
 
     ``lattice`` is a small int, unique within one census, for the block's
@@ -156,15 +154,10 @@ class _Entry(NamedTuple):
     label's rank among the pool's labels.
     """
 
-    block: BuildingBlock
-    size: int
-    share: tuple[int, int]
-    lattice: int
-    position: int
-    order: int
+    __slots__ = ()
 
 
-class PairClass(NamedTuple):
+class PairClass(namedtuple("PairClass", "b2 b3 mode certificate weight diagonal groups")):
     """The pairs of one pair-space that join two outcome classes of blocks.
 
     ``groups`` holds the two classes, each a tuple of pool entries in pool
@@ -175,13 +168,7 @@ class PairClass(NamedTuple):
     with itself.
     """
 
-    b2: int
-    b3: int
-    mode: str
-    certificate: MatchCertificate
-    weight: int
-    diagonal: int
-    groups: tuple[tuple[_Entry, ...], tuple[_Entry, ...]]
+    __slots__ = ()
 
 
 def _group_size(group: tuple[_Entry, ...]) -> int:
@@ -372,12 +359,10 @@ def distinct_betti(rows: Iterable[G2Record | PairClass]) -> tuple[tuple[int, int
     return tuple(sorted({(r.b2, r.b3) for r in rows}))
 
 
-class JoyceComparison(NamedTuple):
+class JoyceComparison(namedtuple("JoyceComparison", "overlap_count new_count mod4_violations")):
     """Overlap statistics against the earlier construction's Betti pairs."""
 
-    overlap_count: int
-    new_count: int
-    mod4_violations: int
+    __slots__ = ()
 
 
 def compare_joyce(
@@ -401,17 +386,14 @@ def compare_joyce(
     )
 
 
-class PairCounts(NamedTuple):
+class PairCounts(namedtuple("PairCounts", "clause_a clause_b clause_c diagonal")):
     """Pair totals under the three counting conventions.
 
     A pair is diagonal when both blocks are equal (a family or involution
     class matched with itself).
     """
 
-    clause_a: int
-    clause_b: int
-    clause_c: int
-    diagonal: int
+    __slots__ = ()
 
     @property
     def unordered_with_self(self) -> int:

@@ -49,9 +49,10 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import namedtuple
 from math import prod
 from operator import index, mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from ._frozen import Frozen
 
@@ -62,11 +63,10 @@ class LatticeError(ValueError):
     """Malformed Gram matrix or unsupported lattice query."""
 
 
-class Signature(NamedTuple):
+class Signature(namedtuple("Signature", "t_plus t_minus")):
     """Counts of positive / negative directions of a nondegenerate form."""
 
-    t_plus: int
-    t_minus: int
+    __slots__ = ()
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -76,30 +76,26 @@ def _identity(n: int) -> list[list[int]]:
     return rows
 
 
-class SmithDecomposition(NamedTuple):
+class SmithDecomposition(namedtuple("SmithDecomposition", "U S V")):
     """Integer Smith normal form ``U @ gram @ V == S`` with unimodular U, V.
 
     The diagonal of ``S`` is nonnegative and satisfies the divisibility
     chain ``s_i | s_{i+1}``.
     """
 
-    U: Matrix
-    S: Matrix
-    V: Matrix
+    __slots__ = ()
 
 
-class DiscriminantInfo(NamedTuple):
+class DiscriminantInfo(
+    namedtuple("DiscriminantInfo", "invariant_factors order l is_2_elementary delta")
+):
     """Shape of the discriminant group, with the parity invariant.
 
     ``delta`` is 0 or 1 for 2-elementary lattices and ``None`` (meaning
     "undefined") otherwise.
     """
 
-    invariant_factors: tuple[int, ...]
-    order: int
-    l: int
-    is_2_elementary: bool
-    delta: int | None
+    __slots__ = ()
 
 
 class IntLattice(Frozen, ignore=("_smith", "_pivots")):

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import errno
+import functools
 import gc
 import hashlib
 import io
@@ -17,6 +18,7 @@ from collections import Counter
 
 import pytest
 
+import g2sum
 from g2sum.cli import _MODE_SPACES, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from g2sum.enumerator import (
     enumerate_emb,
@@ -711,28 +713,74 @@ def test_cli_start_imports_no_rational_arithmetic():
     assert proc.stdout.strip() == ""
 
 
-def modules_the_cli_import_adds() -> set[str]:
-    # Only what the import itself adds counts, so a site hook that loads one
-    # of the modules a test looks for before g2sum cannot fail the test.  The
-    # child then runs a command, asks for help and makes a usage error, with
-    # its output kept in memory, so what parsing argv loads counts too.
+# The package's source directory, put first on a probe child's path: under
+# ``-S`` the child has no site-packages in which to find an installed g2sum.
+PACKAGE_ROOT = str(pathlib.Path(g2sum.__file__).resolve().parents[1])
+
+
+@functools.lru_cache(maxsize=None)
+def modules_added_by(code: str) -> frozenset[str]:
+    # Only what ``code`` itself adds counts, so a site hook that loads one of
+    # the modules a test looks for before g2sum cannot fail the test.  The
+    # child runs with and without ``-S``, and what either run adds counts:
+    # without the site hook, nothing g2sum needs is loaded in advance.
     probe = (
         "import io, sys\n"
         "before = set(sys.modules)\n"
-        "import g2sum.cli\n"
-        "sys.stdout = sys.stderr = io.StringIO()\n"
-        "for argv in (['validate'], ['--help'], ['enumerate', '--help'], ['enumerate']):\n"
-        "    try:\n"
-        "        g2sum.cli.main(argv)\n"
-        "    except SystemExit:\n"
-        "        pass\n"
+        f"{code}"
         "print(*sorted(set(sys.modules) - before), file=sys.__stdout__)"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
+    added = set()
+    for flags in ((), ("-S",)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        added.update(proc.stdout.split())
+    return frozenset(added)
+
+
+def modules_the_cli_import_adds() -> set[str]:
+    # The child imports the CLI, then runs a command, asks for help and makes
+    # a usage error, with its output kept in memory, so what parsing argv
+    # loads counts too.
+    return set(
+        modules_added_by(
+            "import g2sum.cli\n"
+            "sys.stdout = sys.stderr = io.StringIO()\n"
+            "for argv in (['validate'], ['--help'], ['enumerate', '--help'], ['enumerate']):\n"
+            "    try:\n"
+            "        g2sum.cli.main(argv)\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+        )
     )
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+
+
+def g2sum_modules(modules: frozenset[str]) -> set[str]:
+    return {m for m in modules if m == "g2sum" or m.startswith("g2sum.")}
+
+
+def test_cli_run_imports_no_lattice_engine():
+    # The matching conditions read the ambient's signature and rank as
+    # literals; only ``crosscheck`` imports the engine, in its body.
+    added = modules_the_cli_import_adds()
+    assert "g2sum.cli" in added and "g2sum.lattice_core" not in added
+
+
+def test_package_import_loads_no_submodule():
+    # The package's names load on first access.
+    assert g2sum_modules(modules_added_by("import g2sum\n")) == {"g2sum"}
+
+
+def test_lattice_engine_imports_without_the_census_modules():
+    added = modules_added_by("from g2sum import IntLattice\n")
+    assert g2sum_modules(added) == {"g2sum", "g2sum.lattice_core", "g2sum._frozen"}
 
 
 def test_cli_start_and_argv_parsing_import_no_argparse_gettext_or_locale():
@@ -754,6 +802,20 @@ def test_cli_start_imports_no_csv():
     # The catalog reader splits its own cells and --format csv writes its
     # own bytes, so nothing needs the csv module.
     assert {"csv", "_csv"} & modules_the_cli_import_adds() == set()
+
+
+# A wrong literal planted for the gluing ambient's signature, before the CLI
+# binds it: only ``crosscheck`` compares it with the lattice engine.
+PLANTED_AMBIENT_BUG = """
+import sys
+import g2sum.embedding as embedding
+
+embedding._AMBIENT_SIG = (2, 17)
+
+from g2sum.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 # A closed-form/gluing mismatch planted in the gluing formula: b3 shifted by 4.
@@ -887,6 +949,12 @@ sys.exit(main(sys.argv[1:]))
             ("crosscheck",),
             r"(?m)^g2sum: EMB_A pair fano\(P3\) x fano\(P3\) breaks the rank condition",
         ),
+        (
+            PLANTED_AMBIENT_BUG,
+            ("crosscheck",),
+            r"(?m)^g2sum: the engine gives the ambient 2\*E8\(-1\) \+ 2\*U signature "
+            r"\(2, 18\) and rank 20; the matching conditions read \(2, 17\) and 20$",
+        ),
     ],
     ids=[
         "betti-list emb",
@@ -898,6 +966,7 @@ sys.exit(main(sys.argv[1:]))
         "block-bug betti-list emb_c",
         "rank-bug betti-list emb",
         "rank-bug crosscheck",
+        "ambient-bug crosscheck",
     ],
 )
 def test_identity_failure_exits_1_in_every_build(optimize, planted, argv, message):

@@ -25,6 +25,7 @@ from g2sum.embedding import (
     matching_condition,
 )
 import g2sum.embedding as embedding_mod
+from g2sum.lattice_core import parse_lattice_expr
 
 
 def _numeric(*shapes):
@@ -90,9 +91,12 @@ def test_embeds_fano_pair_small_ranks():
 
 
 def test_emb_run_writes_only_the_banner_to_stderr():
-    # The ambient gate is read from the parsed expression 2*E8(-1) + 2*U, and
-    # a fresh process enumerating emb has nothing to say beyond the banner.
+    # The ambient gate is a literal that the engine's parse of 2*E8(-1) + 2*U
+    # agrees with, and a fresh process enumerating emb has nothing to say
+    # beyond the banner.
     assert (embedding_mod._AMBIENT_SIG, embedding_mod._AMBIENT_RANK) == ((2, 18), 20)
+    ambient = parse_lattice_expr(embedding_mod._AMBIENT_EXPR)
+    assert (ambient.signature(), ambient.rank) == ((2, 18), 20)
     proc = subprocess.run(
         [sys.executable, "-m", "g2sum.cli", "betti-list", "emb"],
         capture_output=True,

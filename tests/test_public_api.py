@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import g2sum
 import g2sum.building_blocks
 import g2sum.catalog
@@ -66,6 +68,32 @@ def test_every_exported_name_resolves_once():
     assert len(g2sum.__all__) == len(set(g2sum.__all__))
     for name in g2sum.__all__:
         assert hasattr(g2sum, name), name
+
+
+def test_every_exported_name_is_its_module_object_and_listed_by_dir():
+    listed = dir(g2sum)
+    for name in g2sum.__all__:
+        assert name in listed, name
+        if name != "__version__":
+            value = getattr(g2sum, name)
+            assert any(getattr(m, name, None) is value for m in MODULES[1:]), name
+
+
+def test_star_import_binds_exactly_the_exported_names():
+    namespace = {}
+    exec("from g2sum import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(g2sum.__all__)
+    assert namespace["__version__"] == g2sum.__version__
+
+
+def test_unknown_package_attribute_raises_attribute_error_naming_the_package():
+    with pytest.raises(AttributeError, match=r"^module 'g2sum' has no attribute 'no_such_name'$"):
+        g2sum.no_such_name
+    with pytest.raises(ImportError):
+        exec("from g2sum import no_such_name", {})
+    for name in REMOVED:
+        assert name not in dir(g2sum), name
 
 
 def test_removed_names_stay_removed():
